@@ -41,6 +41,7 @@
 //! on large schedules these seed the GA population with near-optimal
 //! individuals that point mutation alone could not rediscover.
 
+use crate::engine::IncrementalEval;
 use crate::ga::score;
 use crate::strategy::{Evaluation, StageTable};
 
@@ -330,6 +331,14 @@ pub fn solve(table: &StageTable, cfg: &ExactConfig) -> ExactOutcome {
 /// the distinct candidates sorted by score, best first, truncated to
 /// `max_seeds`.
 ///
+/// The repair costs one sort per over-budget rung plus O(log n) per
+/// upgrade: ratios are static (each reads only its stage's current and
+/// min-time cells, and an upgraded stage leaves the pool), so the greedy
+/// sequence is the ratio order with ties to the lowest stage index, and
+/// the stop test reads an [`IncrementalEval`] whose time is bit-identical
+/// to [`StageTable::evaluate`]. For NaN-free ratios this reproduces the
+/// rescan-per-upgrade greedy bit for bit.
+///
 /// # Panics
 ///
 /// Panics if the table has no frequency points or `loss >= 1`.
@@ -344,10 +353,56 @@ pub fn lagrangian_seeds(table: &StageTable, loss: f64, max_seeds: usize) -> Vec<
     }
     let baseline_time = table.baseline().time_us;
     let budget = baseline_time / (1.0 - loss);
+    let sweep = ladder_lambdas(table);
+    let min_time_gene = min_time_genes(table);
 
-    // Candidate multipliers: every pairwise slope of every stage's
-    // option set (where trading time for energy is possible), plus the
-    // endpoints. Subsampled evenly when the schedule is large.
+    let mut seen = std::collections::BTreeSet::new();
+    let mut out: Vec<LagrangianSeed> = Vec::new();
+    let mut genes = vec![0usize; n];
+    let mut rung = IncrementalEval::new(table, &genes);
+    let mut upgrades: Vec<(f64, usize)> = Vec::with_capacity(n);
+    for &lambda in sweep.iter().chain(std::iter::once(&f64::MAX)) {
+        relaxed_argmin(table, lambda, &mut genes);
+        rung.assign(&genes);
+        // Budget repair: walk over-budget rungs back toward speed, best
+        // time-saved-per-energy ratio first (static ratios: one sort).
+        if rung.eval().time_us > budget {
+            upgrades.clear();
+            upgrades.extend((0..n).filter_map(|s| {
+                let (g, fast) = (genes[s], min_time_gene[s]);
+                let (cur, nxt) = (table.cell(s, g), table.cell(s, fast));
+                let saved = cur.time - nxt.time;
+                if g == fast || saved <= 0.0 {
+                    return None;
+                }
+                Some((saved / (nxt.ea - cur.ea).max(1e-12), s))
+            }));
+            upgrades.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            let mut queue = upgrades.iter();
+            while rung.eval().time_us > budget {
+                let Some(&(_, s)) = queue.next() else { break };
+                rung.set_gene(s, min_time_gene[s]);
+            }
+        }
+        if seen.insert(rung.genes().to_vec()) {
+            let eval = rung.eval();
+            out.push(LagrangianSeed {
+                genes: rung.genes().to_vec(),
+                score: score(&eval, baseline_time, loss),
+                eval,
+            });
+        }
+    }
+    out.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.genes.cmp(&b.genes)));
+    out.truncate(max_seeds);
+    out
+}
+
+/// The ladder's λ rungs: every same-sign pairwise slope `Δe/Δt` of every
+/// stage's option set, plus λ = 0, sorted and deduplicated. Subsampled
+/// evenly (both endpoints kept) to at most 192 rungs on large schedules.
+fn ladder_lambdas(table: &StageTable) -> Vec<f64> {
+    let (n, m) = (table.n_stages(), table.n_freqs());
     let mut lambdas = vec![0.0_f64];
     for s in 0..n {
         for a in 0..m {
@@ -367,86 +422,50 @@ pub fn lagrangian_seeds(table: &StageTable, loss: f64, max_seeds: usize) -> Vec<
     lambdas.sort_by(f64::total_cmp);
     lambdas.dedup();
     const MAX_LAMBDAS: usize = 192;
-    let sweep: Vec<f64> = if lambdas.len() <= MAX_LAMBDAS {
+    if lambdas.len() <= MAX_LAMBDAS {
         lambdas
     } else {
-        // Even subsample keeping both endpoints.
         (0..MAX_LAMBDAS)
             .map(|k| lambdas[k * (lambdas.len() - 1) / (MAX_LAMBDAS - 1)])
             .collect()
-    };
+    }
+}
 
-    // Per-stage minimum-time gene, for budget repair.
-    let min_time_gene: Vec<usize> = (0..n)
+/// Writes the per-stage argmin of `e + λ·t` into `genes`
+/// (`λ = f64::MAX` minimizes time alone).
+fn relaxed_argmin(table: &StageTable, lambda: f64, genes: &mut [usize]) {
+    let m = table.n_freqs();
+    for (s, g) in genes.iter_mut().enumerate() {
+        *g = (0..m)
+            .min_by(|&a, &b| {
+                let ca = table.cell(s, a);
+                let cb = table.cell(s, b);
+                let va = if lambda == f64::MAX {
+                    ca.time
+                } else {
+                    ca.ea + lambda * ca.time
+                };
+                let vb = if lambda == f64::MAX {
+                    cb.time
+                } else {
+                    cb.ea + lambda * cb.time
+                };
+                va.total_cmp(&vb)
+            })
+            .unwrap_or(m - 1);
+    }
+}
+
+/// Per-stage minimum-time gene, the target of every budget repair.
+fn min_time_genes(table: &StageTable) -> Vec<usize> {
+    let m = table.n_freqs();
+    (0..table.n_stages())
         .map(|s| {
             (0..m)
                 .min_by(|&a, &b| table.cell(s, a).time.total_cmp(&table.cell(s, b).time))
                 .unwrap_or(m - 1)
         })
-        .collect();
-
-    let mut seen = std::collections::BTreeSet::new();
-    let mut out: Vec<LagrangianSeed> = Vec::new();
-    let mut genes = vec![0usize; n];
-    for &lambda in sweep.iter().chain(std::iter::once(&f64::MAX)) {
-        for (s, g) in genes.iter_mut().enumerate() {
-            *g = (0..m)
-                .min_by(|&a, &b| {
-                    let ca = table.cell(s, a);
-                    let cb = table.cell(s, b);
-                    let va = if lambda == f64::MAX {
-                        ca.time
-                    } else {
-                        ca.ea + lambda * ca.time
-                    };
-                    let vb = if lambda == f64::MAX {
-                        cb.time
-                    } else {
-                        cb.ea + lambda * cb.time
-                    };
-                    va.total_cmp(&vb)
-                })
-                .unwrap_or(m - 1);
-        }
-        // Budget repair: walk over-budget rungs back toward speed, best
-        // time-saved-per-energy ratio first.
-        let mut eval = table.evaluate(&genes);
-        while eval.time_us > budget {
-            let mut best: Option<(usize, f64)> = None;
-            for s in 0..n {
-                let g = genes[s];
-                let fast = min_time_gene[s];
-                if g == fast {
-                    continue;
-                }
-                let cur = table.cell(s, g);
-                let nxt = table.cell(s, fast);
-                let saved = cur.time - nxt.time;
-                if saved <= 0.0 {
-                    continue;
-                }
-                let cost = (nxt.ea - cur.ea).max(1e-12);
-                let ratio = saved / cost;
-                if best.as_ref().is_none_or(|&(_, r)| ratio > r) {
-                    best = Some((s, ratio));
-                }
-            }
-            let Some((s, _)) = best else { break };
-            genes[s] = min_time_gene[s];
-            eval = table.evaluate(&genes);
-        }
-        if seen.insert(genes.clone()) {
-            let s = score(&eval, baseline_time, loss);
-            out.push(LagrangianSeed {
-                genes: genes.clone(),
-                eval,
-                score: s,
-            });
-        }
-    }
-    out.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.genes.cmp(&b.genes)));
-    out.truncate(max_seeds);
-    out
+        .collect()
 }
 
 #[cfg(test)]
@@ -624,6 +643,69 @@ mod tests {
         assert!(seeds[0].score >= base_score);
     }
 
+    /// The budget-repair ladder as it was before the incremental repair,
+    /// kept word for word: an O(n) best-ratio scan plus a full
+    /// `evaluate` per single-stage upgrade. The property below checks
+    /// [`lagrangian_seeds`] against it bit for bit.
+    fn reference_seeds(table: &StageTable, loss: f64, max_seeds: usize) -> Vec<LagrangianSeed> {
+        let n = table.n_stages();
+        let m = table.n_freqs();
+        assert!(m >= 1, "table must have frequency points");
+        assert!(loss < 1.0, "loss target must be below 1");
+        if n == 0 || max_seeds == 0 {
+            return Vec::new();
+        }
+        let baseline_time = table.baseline().time_us;
+        let budget = baseline_time / (1.0 - loss);
+        let sweep = ladder_lambdas(table);
+        let min_time_gene = min_time_genes(table);
+
+        let mut seen = std::collections::BTreeSet::new();
+        let mut out: Vec<LagrangianSeed> = Vec::new();
+        let mut genes = vec![0usize; n];
+        for &lambda in sweep.iter().chain(std::iter::once(&f64::MAX)) {
+            relaxed_argmin(table, lambda, &mut genes);
+            // Budget repair: walk over-budget rungs back toward speed, best
+            // time-saved-per-energy ratio first.
+            let mut eval = table.evaluate(&genes);
+            while eval.time_us > budget {
+                let mut best: Option<(usize, f64)> = None;
+                for s in 0..n {
+                    let g = genes[s];
+                    let fast = min_time_gene[s];
+                    if g == fast {
+                        continue;
+                    }
+                    let cur = table.cell(s, g);
+                    let nxt = table.cell(s, fast);
+                    let saved = cur.time - nxt.time;
+                    if saved <= 0.0 {
+                        continue;
+                    }
+                    let cost = (nxt.ea - cur.ea).max(1e-12);
+                    let ratio = saved / cost;
+                    if best.as_ref().is_none_or(|&(_, r)| ratio > r) {
+                        best = Some((s, ratio));
+                    }
+                }
+                let Some((s, _)) = best else { break };
+                genes[s] = min_time_gene[s];
+                eval = table.evaluate(&genes);
+            }
+            if seen.insert(genes.clone()) {
+                let s = score(&eval, baseline_time, loss);
+                out.push(LagrangianSeed {
+                    genes: genes.clone(),
+                    eval,
+                    score: s,
+                });
+            }
+        }
+        out.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.genes.cmp(&b.genes)));
+        out.truncate(max_seeds);
+        out
+    }
+
     #[test]
     fn empty_table_is_trivially_certified() {
         let t = StageTable::from_parts(vec![FreqMhz::new(1800)], vec![], vec![], vec![], vec![])
@@ -633,5 +715,124 @@ mod tests {
         assert!(out.genes.is_empty());
         assert_eq!(out.score, 0.0);
         assert!(lagrangian_seeds(&t, 0.02, 8).is_empty());
+    }
+
+    /// A seeded random `n × m` table. `shape` 0 is physical (time falls
+    /// and power rises with frequency, per-stage sensitivity varies),
+    /// 1 draws arbitrary non-monotone cells, and 2 draws cells from a
+    /// coarse 3 × 3 grid so upgrade ratios tie across stages.
+    /// `coupled` turns on the thermal fix point.
+    fn random_table(seed: u64, n: usize, m: usize, shape: u8, coupled: bool) -> StageTable {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let freqs: Vec<FreqMhz> = (0..m)
+            .map(|k| FreqMhz::new(1000 + 100 * k as u32))
+            .collect();
+        let (mut stages, mut time, mut ea, mut es) = (vec![], vec![], vec![], vec![]);
+        for i in 0..n {
+            let (dur, sens, c) = (
+                rng.gen_range(1_000.0..20_000.0),
+                rng.gen_range(0.0..1.0),
+                rng.gen_range(5.0..40.0),
+            );
+            let row: Vec<(f64, f64)> = (0..m)
+                .map(|k| {
+                    let x = (k + 1) as f64 / m as f64;
+                    match shape {
+                        0 => {
+                            let t = dur * (1.0 - sens + sens / x);
+                            (t, (12.0 + c * x * x) * t)
+                        }
+                        1 => (rng.gen_range(100.0..1_000.0), rng.gen_range(1e3..1e4)),
+                        _ => (
+                            f64::from(rng.gen_range(1u32..4)) * 100.0,
+                            f64::from(rng.gen_range(1u32..4)) * 1_000.0,
+                        ),
+                    }
+                })
+                .collect();
+            stages.push(Stage {
+                start_us: 0.0,
+                dur_us: dur,
+                op_range: i..i + 1,
+                kind: StageKind::Lfc,
+            });
+            time.push(row.iter().map(|c| c.0).collect::<Vec<_>>());
+            ea.push(row.iter().map(|c| c.1).collect::<Vec<_>>());
+            es.push(row.iter().map(|c| c.1 + 180.0 * c.0).collect::<Vec<_>>());
+        }
+        let t = StageTable::from_parts(freqs, stages, time, ea, es).unwrap();
+        if coupled {
+            let volts = (0..m).map(|k| 0.7 + 0.05 * k as f64).collect();
+            t.with_thermal_coupling(
+                ThermalCoupling {
+                    gamma_aicore: 0.05,
+                    gamma_soc: 0.1,
+                    k_c_per_w: 0.08,
+                },
+                volts,
+            )
+        } else {
+            t
+        }
+    }
+
+    /// Seed lists compared field by field at the bit level.
+    fn seed_bits(seeds: &[LagrangianSeed]) -> Vec<(Vec<usize>, [u64; 4])> {
+        seeds
+            .iter()
+            .map(|s| {
+                let e = &s.eval;
+                let f = [e.time_us, e.aicore_energy_wus, e.soc_energy_wus, s.score];
+                (s.genes.clone(), f.map(f64::to_bits))
+            })
+            .collect()
+    }
+
+    /// Checks [`lagrangian_seeds`] against [`reference_seeds`], truncated
+    /// and in full.
+    fn check_against_reference(t: &StageTable, loss: f64, k: usize) -> Result<(), String> {
+        for k in [k, usize::MAX] {
+            let (got, want) = (lagrangian_seeds(t, loss, k), reference_seeds(t, loss, k));
+            proptest::prop_assert_eq!(seed_bits(&got), seed_bits(&want));
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+        #[test]
+        fn incremental_repair_matches_the_reference_bit_for_bit(
+            seed in 0u64..u64::MAX,
+            n in 1usize..40,
+            m in 1usize..7,
+            shape in 0u8..3,
+            coupled in proptest::prelude::any::<bool>(),
+            loss in -0.5f64..0.3,
+            k in 1usize..12,
+        ) {
+            check_against_reference(&random_table(seed, n, m, shape, coupled), loss, k)?;
+        }
+    }
+
+    #[test]
+    fn incremental_repair_matches_the_reference_on_corner_cases() {
+        for shape in 0..3 {
+            for coupled in [false, true] {
+                for (n, m) in [(1, 1), (37, 1), (1, 9), (37, 9), (64, 4)] {
+                    for loss in [-0.3, 0.0, 0.02, 0.1] {
+                        let t = random_table(7 + n as u64, n, m, shape, coupled);
+                        check_against_reference(&t, loss, 8).unwrap();
+                    }
+                }
+            }
+        }
+        // A budget below the min-time genome: every rung exhausts its
+        // upgrades and leaves the repair loop through `break`.
+        let t = random_table(11, 37, 9, 0, true);
+        let budget = t.baseline().time_us / 1.3;
+        let seeds = lagrangian_seeds(&t, -0.3, usize::MAX);
+        assert!(seeds.iter().all(|s| s.eval.time_us > budget));
     }
 }

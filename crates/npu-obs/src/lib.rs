@@ -10,8 +10,9 @@
 //!
 //! The default observer is [`NullObserver`]: emission sites pay one
 //! cached-boolean check per event and nothing else, so production runs
-//! with observability off are indistinguishable from the uninstrumented
-//! code (the `ga_eval` bench gates this).
+//! with observability off should be indistinguishable from the
+//! uninstrumented code. That overhead is not measured yet: no bench or
+//! check gates it (ROADMAP open item 1 plans the measurement).
 //!
 //! # Example
 //!

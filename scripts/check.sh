@@ -66,7 +66,7 @@ CRITERION_SMOKE=1 cargo bench -p npu-bench --bench simulator
 ga_fields="full_policies_per_sec incremental_policies_per_sec \
 engine_policies_per_sec pool_policies_per_sec engine_speedup \
 pool_vs_engine_speedup pool_bit_identical pool_score_allocs \
-optimality_gap oracle_certified"
+optimality_gap oracle_certified lagrangian_secs ga_search_secs"
 for f in $ga_fields; do
   grep -q "\"$f\"" BENCH_ga_eval.smoke.json \
     || { echo "BENCH_ga_eval.smoke.json: missing field $f" >&2; exit 1; }
@@ -79,6 +79,12 @@ grep -q '"optimality_gap": 0.0,' BENCH_ga_eval.smoke.json \
   || { echo "GA missed the certified optimum (gap != 0.0)" >&2; exit 1; }
 grep -q '"oracle_certified": true' BENCH_ga_eval.smoke.json \
   || { echo "exact oracle failed to certify the small schedule" >&2; exit 1; }
+# Regression pin: the Lagrangian seeding ladder on the 960-stage GPT-3
+# table once rescanned every stage and re-ran a full evaluation per
+# budget repair (>= 2.5 s at a 2% loss target). The incremental repair
+# takes tens of milliseconds; 0.5 s leaves room for slow hosts.
+awk -F': ' '/"lagrangian_secs"/ { if ($2 + 0 >= 0.5) exit 1 }' BENCH_ga_eval.smoke.json \
+  || { echo "Lagrangian ladder took >= 0.5 s on the GPT-3 table" >&2; exit 1; }
 rm -f BENCH_ga_eval.smoke.json
 
 # The checked-in full-run measurement must carry the same fields, show
@@ -96,6 +102,10 @@ awk -F': ' '/"pool_vs_engine_speedup"/ { if ($2 + 0 < 5.0) exit 1 }' BENCH_ga_ev
 # (engine_speedup 0.81). It must never lose to full evaluation again.
 awk -F': ' '/"engine_speedup"/ { if ($2 + 0 < 1.0) exit 1 }' BENCH_ga_eval.json \
   || { echo "BENCH_ga_eval.json: engine slower than full evaluation" >&2; exit 1; }
+# Oracle seeding must stay a small share of the search it seeds.
+awk -F': ' '/"lagrangian_secs"/ { l = $2 + 0 } /"ga_search_secs"/ { g = $2 + 0 }
+  END { if (l > 0.25 * g) exit 1 }' BENCH_ga_eval.json \
+  || { echo "BENCH_ga_eval.json: Lagrangian ladder above 25% of GA search" >&2; exit 1; }
 grep -q '"pool_bit_identical": true' BENCH_ga_eval.json \
   || { echo "BENCH_ga_eval.json: pool scores not bit-identical" >&2; exit 1; }
 grep -q '"optimality_gap": 0.0,' BENCH_ga_eval.json \

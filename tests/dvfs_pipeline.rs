@@ -253,3 +253,66 @@ fn ga_strategy_beats_prior_and_executes_faithfully() {
     let pgap = (measured_power - predicted_power).abs() / predicted_power;
     assert!(pgap < 0.10, "power prediction gap {pgap:.4}");
 }
+
+/// Seed-drift pin for the oracle-seeded GA path: the Lagrangian ladder on
+/// a 300-stage thermally coupled table (above the GA's 256-stage
+/// seeding threshold, not a power of two, enough slopes to hit the
+/// 192-rung subsample) must keep returning the seeds the original
+/// rescan-per-upgrade repair loop produced. The digest is FNV-1a over
+/// each seed's genes, evaluation bits and score bits, in order.
+#[test]
+fn lagrangian_seeds_on_a_large_table_match_the_recorded_digest() {
+    use npu_dvfs::{exact, Stage, StageTable, ThermalCoupling};
+
+    let freqs: Vec<FreqMhz> = (10..=18).map(|k| FreqMhz::new(k * 100)).collect();
+    let n = 300;
+    let (mut time, mut ea, mut es) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..n {
+        let sens = (i * 37 % 101) as f64 / 100.0;
+        let dur = 1_000.0 + (i * 7_919 % 19_000) as f64;
+        let c = 5.0 + (i * 13 % 35) as f64;
+        let (mut t, mut a, mut s) = (Vec::new(), Vec::new(), Vec::new());
+        for f in &freqs {
+            let x = f.as_f64() / 1800.0;
+            let dt = dur * (1.0 - sens + sens / x);
+            let p = 12.0 + c * x * x;
+            t.push(dt);
+            a.push(p * dt);
+            s.push((p + 180.0) * dt);
+        }
+        time.push(t);
+        ea.push(a);
+        es.push(s);
+    }
+    let stages = (0..n)
+        .map(|i| Stage {
+            start_us: 0.0,
+            dur_us: time[i][8],
+            op_range: i..i + 1,
+            kind: StageKind::Lfc,
+        })
+        .collect();
+    let volts = (0..9).map(|k| 0.7 + 0.05 * f64::from(k)).collect();
+    let table = StageTable::from_parts(freqs, stages, time, ea, es)
+        .unwrap()
+        .with_thermal_coupling(
+            ThermalCoupling {
+                gamma_aicore: 0.05,
+                gamma_soc: 0.1,
+                k_c_per_w: 0.08,
+            },
+            volts,
+        );
+
+    let seeds = exact::lagrangian_seeds(&table, 0.02, 8);
+    let words = seeds.iter().flat_map(|s| {
+        let e = &s.eval;
+        let bits = [e.time_us, e.aicore_energy_wus, e.soc_energy_wus, s.score].map(f64::to_bits);
+        s.genes.iter().map(|&g| g as u64).chain(bits)
+    });
+    let digest = words.fold(0xcbf2_9ce4_8422_2325_u64, |h, x| {
+        (h ^ x).wrapping_mul(0x1000_0000_01b3)
+    });
+    assert_eq!(seeds.len(), 8);
+    assert_eq!(digest, 0x8ffe_a01d_8392_dd88);
+}
