@@ -22,10 +22,11 @@
 //!
 //! [`PoolScratch`] pairs a warm [`IncrementalEval`] with a packed
 //! mirror of its current genome: repositioning onto another genome
-//! diffs the packed words (XOR + `trailing_zeros`), touching only the
-//! changed stages. [`genome_fingerprint`] computes the identical
-//! fingerprint for an unpacked `&[usize]` genome, so pooled and
-//! slice-based scoring share one memo space.
+//! diffs the packed words (XOR + `trailing_zeros`) and commits only the
+//! changed stages, in one level-by-level tree update.
+//! [`genome_fingerprint`] computes the identical fingerprint for an
+//! unpacked `&[usize]` genome, so pooled and slice-based scoring share
+//! one memo space.
 
 use crate::engine::IncrementalEval;
 use crate::strategy::{Evaluation, StageTable};
@@ -347,10 +348,10 @@ impl GenomePool {
 
 /// Per-worker evaluation scratch: a warm [`IncrementalEval`] plus a
 /// packed mirror of its current genome. Repositioning onto the next
-/// genome XOR-diffs packed words and updates only the changed stages —
-/// O(diff · log n) with a word-sized constant factor — and the mirror
-/// stays coherent whether genomes arrive packed ([`Self::eval_pool`]) or
-/// as slices ([`Self::eval_genes`]).
+/// genome XOR-diffs packed words and commits only the changed stages in
+/// one batched tree update, and the mirror stays coherent whether
+/// genomes arrive packed ([`Self::eval_pool`]) or as slices
+/// ([`Self::eval_genes`]).
 #[derive(Debug)]
 pub struct PoolScratch<'t> {
     inc: IncrementalEval<'t>,
@@ -371,25 +372,19 @@ impl<'t> PoolScratch<'t> {
         }
     }
 
-    /// Repositions one packed word, committing only the lanes that
-    /// changed to the underlying evaluator.
-    #[inline]
-    fn sync_word(&mut self, w: usize, new_word: u64) {
-        let mut x = new_word ^ self.packed[w];
-        if x == 0 {
-            return;
-        }
-        let bits = self.layout.gene_bits;
-        while x != 0 {
-            let shift = (x.trailing_zeros() / bits) * bits;
-            let stage = w * self.layout.genes_per_word + (shift / bits) as usize;
-            self.inc.set_gene(
-                stage,
-                ((new_word >> shift) & self.layout.gene_mask) as usize,
-            );
-            x &= !(self.layout.gene_mask << shift);
-        }
-        self.packed[w] = new_word;
+    /// Repositions the evaluator at the genome packed in `words`:
+    /// XOR-diffs each word against the mirror and commits every changed
+    /// gene in one batched [`IncrementalEval::set_genes`], then
+    /// evaluates.
+    fn eval_words(&mut self, words: impl Iterator<Item = u64>) -> Evaluation {
+        let layout = self.layout;
+        let words = self.packed.iter_mut().zip(words).enumerate();
+        self.inc
+            .set_genes(words.flat_map(move |(w, (mirror, new))| {
+                let old = std::mem::replace(mirror, new);
+                changed_lanes(layout, w, old, new)
+            }));
+        self.inc.eval()
     }
 
     /// Evaluates genome `idx` of `pool`. Bit-identical to
@@ -400,11 +395,7 @@ impl<'t> PoolScratch<'t> {
     /// Panics if the pool's layout disagrees with the scratch's table.
     pub fn eval_pool(&mut self, pool: &GenomePool, idx: usize) -> Evaluation {
         assert_eq!(self.layout, pool.layout, "pool layout must match table");
-        let src = pool.words_of(idx);
-        for (w, &word) in src.iter().enumerate() {
-            self.sync_word(w, word);
-        }
-        self.inc.eval()
+        self.eval_words(pool.words_of(idx).iter().copied())
     }
 
     /// Evaluates an unpacked genome through the same packed-diff path.
@@ -419,10 +410,11 @@ impl<'t> PoolScratch<'t> {
             "gene count must match stages"
         );
         let layout = self.layout;
-        for (w, chunk) in genes.chunks(layout.genes_per_word).enumerate() {
-            self.sync_word(w, pack_word(&layout, chunk));
-        }
-        self.inc.eval()
+        self.eval_words(
+            genes
+                .chunks(layout.genes_per_word)
+                .map(|c| pack_word(&layout, c)),
+        )
     }
 
     /// Whether this scratch evaluates against `table`'s shape.
@@ -430,6 +422,29 @@ impl<'t> PoolScratch<'t> {
     pub fn fits(&self, table: &StageTable) -> bool {
         self.layout == PackLayout::new(table.n_stages(), table.n_freqs())
     }
+}
+
+/// The `(stage, gene)` pairs where packed word `w` changes from `old` to
+/// `new`, in ascending stage order.
+fn changed_lanes(
+    layout: PackLayout,
+    w: usize,
+    old: u64,
+    new: u64,
+) -> impl Iterator<Item = (usize, usize)> {
+    let bits = layout.gene_bits;
+    let mut diff = old ^ new;
+    std::iter::from_fn(move || {
+        if diff == 0 {
+            return None;
+        }
+        let shift = (diff.trailing_zeros() / bits) * bits;
+        diff &= !(layout.gene_mask << shift);
+        Some((
+            w * layout.genes_per_word + (shift / bits) as usize,
+            ((new >> shift) & layout.gene_mask) as usize,
+        ))
+    })
 }
 
 /// Asserts a pool was built for `table`'s shape (engine entry check).

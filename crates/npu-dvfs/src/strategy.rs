@@ -310,23 +310,45 @@ impl StageTable {
     /// constant dwarfs any stage, so ΔT follows the time-averaged SoC
     /// power of the whole iteration; ≤4 iterations in practice).
     pub(crate) fn finish_sums(&self, sums: Sums) -> Evaluation {
-        let mut dt = 0.0;
-        if sums.time > 0.0 && self.coupling.k_c_per_w > 0.0 {
-            for _ in 0..8 {
-                let p_soc = (sums.es + self.coupling.gamma_soc * dt * sums.vt) / sums.time;
-                let new_dt = self.coupling.k_c_per_w * p_soc;
-                if (new_dt - dt).abs() < 0.05 {
-                    dt = new_dt;
-                    break;
+        let [eval] = self.finish_lanes([sums]);
+        eval
+    }
+
+    /// [`Self::finish_sums`] for `L` independent candidates in lockstep.
+    /// Each lane performs exactly the scalar operation sequence (a lane
+    /// stops updating once it converges), so every result is
+    /// bit-identical to `finish_sums` of that lane alone; interleaving
+    /// the lanes lets their division-bound fix-point chains overlap.
+    pub(crate) fn finish_lanes<const L: usize>(&self, sums: [Sums; L]) -> [Evaluation; L] {
+        let c = self.coupling;
+        let mut dt = [0.0_f64; L];
+        let mut live = sums.map(|s| s.time > 0.0 && c.k_c_per_w > 0.0);
+        let mut any_live = live.contains(&true);
+        for _ in 0..8 {
+            if !any_live {
+                break;
+            }
+            any_live = false;
+            for l in 0..L {
+                if live[l] {
+                    let s = sums[l];
+                    let p_soc = (s.es + c.gamma_soc * dt[l] * s.vt) / s.time;
+                    let new_dt = c.k_c_per_w * p_soc;
+                    let converged = (new_dt - dt[l]).abs() < 0.05;
+                    live[l] = !converged;
+                    any_live |= !converged;
+                    dt[l] = new_dt;
                 }
-                dt = new_dt;
             }
         }
-        Evaluation {
-            time_us: sums.time,
-            aicore_energy_wus: sums.ea + self.coupling.gamma_aicore * dt * sums.vt,
-            soc_energy_wus: sums.es + self.coupling.gamma_soc * dt * sums.vt,
-        }
+        std::array::from_fn(|l| {
+            let s = sums[l];
+            Evaluation {
+                time_us: s.time,
+                aicore_energy_wus: s.ea + c.gamma_aicore * dt[l] * s.vt,
+                soc_energy_wus: s.es + c.gamma_soc * dt[l] * s.vt,
+            }
+        })
     }
 
     /// Fixed-topology pairwise reduction of the stage cells selected by

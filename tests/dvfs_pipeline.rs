@@ -254,18 +254,13 @@ fn ga_strategy_beats_prior_and_executes_faithfully() {
     assert!(pgap < 0.10, "power prediction gap {pgap:.4}");
 }
 
-/// Seed-drift pin for the oracle-seeded GA path: the Lagrangian ladder on
-/// a 300-stage thermally coupled table (above the GA's 256-stage
-/// seeding threshold, not a power of two, enough slopes to hit the
-/// 192-rung subsample) must keep returning the seeds the original
-/// rescan-per-upgrade repair loop produced. The digest is FNV-1a over
-/// each seed's genes, evaluation bits and score bits, in order.
-#[test]
-fn lagrangian_seeds_on_a_large_table_match_the_recorded_digest() {
-    use npu_dvfs::{exact, Stage, StageTable, ThermalCoupling};
+/// A `n`-stage thermally coupled synthetic table over the nine-point
+/// 1000–1800 MHz ladder: stage sensitivity, duration and dynamic power
+/// vary with the stage index so no two rows are alike.
+fn coupled_table(n: usize) -> npu_dvfs::StageTable {
+    use npu_dvfs::{Stage, StageTable, ThermalCoupling};
 
     let freqs: Vec<FreqMhz> = (10..=18).map(|k| FreqMhz::new(k * 100)).collect();
-    let n = 300;
     let (mut time, mut ea, mut es) = (Vec::new(), Vec::new(), Vec::new());
     for i in 0..n {
         let sens = (i * 37 % 101) as f64 / 100.0;
@@ -293,7 +288,7 @@ fn lagrangian_seeds_on_a_large_table_match_the_recorded_digest() {
         })
         .collect();
     let volts = (0..9).map(|k| 0.7 + 0.05 * f64::from(k)).collect();
-    let table = StageTable::from_parts(freqs, stages, time, ea, es)
+    StageTable::from_parts(freqs, stages, time, ea, es)
         .unwrap()
         .with_thermal_coupling(
             ThermalCoupling {
@@ -302,17 +297,63 @@ fn lagrangian_seeds_on_a_large_table_match_the_recorded_digest() {
                 k_c_per_w: 0.08,
             },
             volts,
-        );
+        )
+}
 
-    let seeds = exact::lagrangian_seeds(&table, 0.02, 8);
-    let words = seeds.iter().flat_map(|s| {
+/// FNV-1a over a stream of 64-bit words.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, x| {
+        (h ^ x).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
+/// Seed-drift pin for the oracle-seeded GA path: the Lagrangian ladder on
+/// a 300-stage thermally coupled table (above the GA's 256-stage
+/// seeding threshold, not a power of two, enough slopes to hit the
+/// 192-rung subsample) must keep returning the seeds the original
+/// rescan-per-upgrade repair loop produced. The digest is FNV-1a over
+/// each seed's genes, evaluation bits and score bits, in order.
+#[test]
+fn lagrangian_seeds_on_a_large_table_match_the_recorded_digest() {
+    let table = coupled_table(300);
+    let seeds = npu_dvfs::exact::lagrangian_seeds(&table, 0.02, 8);
+    let digest = fnv1a(seeds.iter().flat_map(|s| {
         let e = &s.eval;
         let bits = [e.time_us, e.aicore_energy_wus, e.soc_energy_wus, s.score].map(f64::to_bits);
         s.genes.iter().map(|&g| g as u64).chain(bits)
-    });
-    let digest = words.fold(0xcbf2_9ce4_8422_2325_u64, |h, x| {
-        (h ^ x).wrapping_mul(0x1000_0000_01b3)
-    });
+    }));
     assert_eq!(seeds.len(), 8);
     assert_eq!(digest, 0x8ffe_a01d_8392_dd88);
+}
+
+/// Trajectory pin for the whole search: the oracle-seeded GA plus the
+/// memetic refinement on the same 300-stage coupled table must keep
+/// returning the strategy, evaluation, per-generation score trace and
+/// evaluation count the tree-walk-per-gene scorer produced. The digest
+/// is FNV-1a over the strategy's frequencies, the `best_eval` bits, the
+/// `score_trace` bits and `evaluations`.
+///
+/// `unique_evaluations` is deliberately left out: it counts score-memo
+/// misses, and the memo's size (its eviction window) is a tuning
+/// choice that changes the count without changing any score.
+#[test]
+fn ga_search_on_a_large_table_matches_the_recorded_trajectory() {
+    let table = coupled_table(300);
+    let cfg = GaConfig {
+        seed: 13,
+        ..GaConfig::default().with_population(40).with_iterations(30)
+    };
+    let out = search(&table, &cfg);
+    let e = &out.best_eval;
+    let freqs = out.strategy.freqs().iter().map(|f| u64::from(f.mhz()));
+    let eval_bits = [e.time_us, e.aicore_energy_wus, e.soc_energy_wus].map(f64::to_bits);
+    let trace = out.score_trace.iter().map(|s| s.to_bits());
+    let digest = fnv1a(
+        freqs
+            .chain(eval_bits)
+            .chain(trace)
+            .chain([out.evaluations as u64]),
+    );
+    assert_eq!(out.score_trace.len(), 30);
+    assert_eq!(digest, 0x2bdd_7443_9808_48cb, "digest {digest:#018x}");
 }
