@@ -21,10 +21,8 @@
 //! - **model key** ← profile key + fitting function + robust-fit flag +
 //!   the eight calibration parameters.
 //! - **search key** ← model key + the effective FAI + every
-//!   [`GaConfig`] field *except* `threads` (worker counts never change
-//!   GA results, so they must not fragment the cache) — including the
-//!   warm-start transfer seeds, so a fleet-transferred search never
-//!   aliases a cold one.
+//!   [`GaConfig`] field — including the warm-start transfer seeds, so a
+//!   fleet-transferred search never aliases a cold one.
 //! - **fleet strategy key** ← the owning device's configuration + noise
 //!   seed + strategy generation; the publication address a
 //!   `FleetController` uses to share one device's active strategy with
@@ -247,8 +245,7 @@ pub fn model_key(
 }
 
 /// Cache key for the GA search: the model key + effective FAI + every
-/// [`GaConfig`] field except `threads` (worker counts change wall time,
-/// never outcomes — they must not fragment the cache).
+/// [`GaConfig`] field.
 #[must_use]
 pub fn search_key(model_key: u64, fai_us: f64, ga: &GaConfig) -> u64 {
     // v2: the oracle-seeding fields joined GaConfig (they change the
