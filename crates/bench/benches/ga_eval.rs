@@ -4,13 +4,13 @@
 //! within 5 minutes; a model-free approach would manage ~30 in the same
 //! time).
 //!
-//! Besides the criterion groups, this bench self-times the four
+//! Besides the criterion groups, this bench self-times the three
 //! evaluation paths over an identical GA-like genome stream — full
-//! re-evaluation, incremental re-evaluation, the memoized engine fed
-//! genome slices, and the bit-packed genome-pool fast path — and writes
-//! the measured policies/sec to `BENCH_ga_eval.json` at the workspace
-//! root so CI and EXPERIMENTS.md can consume the numbers without
-//! scraping bench output. Alongside throughput it records three
+//! re-evaluation, incremental re-evaluation and the engine's bit-packed
+//! genome-pool fast path — and writes the measured policies/sec (and
+//! `pool_speedup`, pool over full) to `BENCH_ga_eval.json` at the
+//! workspace root so CI and EXPERIMENTS.md can consume the numbers
+//! without scraping bench output. Alongside throughput it records three
 //! correctness artifacts the check script gates on: pool scores are
 //! bit-identical to the reference full evaluation, a warm `score_pool`
 //! pass performs zero heap allocations (counted by a wrapping global allocator), and the
@@ -211,15 +211,6 @@ fn measure_eval_modes(table: &StageTable) -> String {
         }
     });
 
-    // Engine fed genome slices (memo + incremental), in
-    // generation-sized batches: pays per-genome packing + fingerprinting.
-    let engine_pps = time_policies_per_sec(stream.len(), || {
-        let mut engine = EvalEngine::new(table, baseline_time, target);
-        for gen_chunk in stream.chunks(generation) {
-            sink += engine.score_population(gen_chunk).iter().sum::<f64>();
-        }
-    });
-
     // Pool fast path: generations live in the bit-packed arena, mutated
     // in place; fingerprints are maintained incrementally and scoring
     // extracts only the changed stages.
@@ -320,11 +311,9 @@ fn measure_eval_modes(table: &StageTable) -> String {
             "  \"stream_len\": {},\n",
             "  \"full_policies_per_sec\": {:.1},\n",
             "  \"incremental_policies_per_sec\": {:.1},\n",
-            "  \"engine_policies_per_sec\": {:.1},\n",
             "  \"pool_policies_per_sec\": {:.1},\n",
             "  \"incremental_speedup\": {:.2},\n",
-            "  \"engine_speedup\": {:.2},\n",
-            "  \"pool_vs_engine_speedup\": {:.2},\n",
+            "  \"pool_speedup\": {:.2},\n",
             "  \"pool_bit_identical\": {},\n",
             "  \"pool_score_allocs\": {},\n",
             "  \"memo_slots\": {},\n",
@@ -342,11 +331,9 @@ fn measure_eval_modes(table: &StageTable) -> String {
         stream_len,
         full,
         incremental,
-        engine_pps,
         pool_pps,
         incremental / full,
-        engine_pps / full,
-        pool_pps / engine_pps,
+        pool_pps / full,
         pool_bit_identical,
         pool_score_allocs,
         memo_slots,
@@ -398,12 +385,6 @@ fn bench_ga(c: &mut Criterion) {
                 .iter()
                 .map(|g| score(&table.evaluate(g), baseline_time, 0.02))
                 .sum::<f64>()
-        });
-    });
-    group.bench_function("engine_512_policies_fresh_memo", |b| {
-        b.iter(|| {
-            let mut engine = EvalEngine::new(&table, baseline_time, 0.02);
-            engine.score_population(&stream).iter().sum::<f64>()
         });
     });
     group.bench_function("pool_512_policies_fresh_memo", |b| {

@@ -92,7 +92,7 @@ fn main() {
     let serial_secs = serial_epoch_secs / EPOCH_BATCHES as f64;
 
     // The pipeline: first service cold through the parallel fleet…
-    let workers = npu_dvfs::resolve_threads(0).min(n);
+    let workers = npu_sim::par::resolve_threads(0).min(n);
     let pipeline = FleetRunner::builder(cfg)
         .with_calibration(calib)
         .with_config(opts(smoke))

@@ -17,10 +17,9 @@ use crate::report::OptimizationReport;
 use crate::serve::ConfigError;
 use npu_obs::{Event, ObserverHandle};
 use npu_power_model::HardwareCalibration;
+use npu_sim::par::par_map;
 use npu_sim::{Device, NpuConfig};
 use npu_workloads::Workload;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
 use std::time::Instant;
 
 /// Builder for a [`FleetRunner`], consistent with the `with_*` style of
@@ -217,8 +216,8 @@ impl FleetRunner {
     }
 
     /// Sets the number of concurrent sessions (`0` = auto-detect via
-    /// [`npu_dvfs::resolve_threads`]), chainable. Worker count changes
-    /// wall time only, never any report.
+    /// [`npu_sim::par::resolve_threads`]), chainable. Worker count
+    /// changes wall time only, never any report.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -276,56 +275,20 @@ impl FleetRunner {
     /// Returns the lowest-indexed session's [`OptimizeError`] if any
     /// session fails (the other sessions still ran).
     pub fn run(&self, batch: &[Workload]) -> Result<Vec<OptimizationReport>, OptimizeError> {
-        let workers = npu_dvfs::resolve_threads(self.workers)
-            .min(batch.len())
-            .max(1);
         let queue_start = Instant::now();
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<Result<OptimizationReport, OptimizeError>>> =
-            (0..batch.len()).map(|_| None).collect();
-        let per_worker: Vec<Vec<(usize, Result<OptimizationReport, OptimizeError>)>> =
-            thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|worker| {
-                        let next = &next;
-                        s.spawn(move || {
-                            let mut local = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(workload) = batch.get(i) else { break };
-                                if self.obs.enabled() {
-                                    self.obs.emit(Event::BatchScheduled {
-                                        workload: workload.name().to_owned(),
-                                        worker,
-                                        queue_wait_us: queue_start.elapsed().as_secs_f64() * 1e6,
-                                    });
-                                }
-                                local.push((i, self.run_one(workload)));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                    })
-                    .collect()
-            });
-        for (i, r) in per_worker.into_iter().flatten() {
-            slots[i] = Some(r);
-        }
-        let mut reports = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match slot {
-                Some(Ok(report)) => reports.push(report),
-                Some(Err(e)) => return Err(e),
-                None => unreachable!("every workload ran exactly once"),
+        par_map(self.workers, batch.len(), |worker, i| {
+            let workload = &batch[i];
+            if self.obs.enabled() {
+                self.obs.emit(Event::BatchScheduled {
+                    workload: workload.name().to_owned(),
+                    worker,
+                    queue_wait_us: queue_start.elapsed().as_secs_f64() * 1e6,
+                });
             }
-        }
-        Ok(reports)
+            self.run_one(workload)
+        })
+        .into_iter()
+        .collect()
     }
 
     fn run_one(&self, workload: &Workload) -> Result<OptimizationReport, OptimizeError> {
@@ -516,5 +479,36 @@ mod tests {
         assert_eq!(metrics.counter("event.BatchScheduled"), 2);
         assert_eq!(metrics.counter("event.CacheMiss"), 6);
         assert_eq!(metrics.counter("event.CacheHit"), 0);
+    }
+
+    #[test]
+    fn scheduled_worker_indices_stay_below_the_capped_pool() {
+        use npu_obs::Observer;
+        use std::sync::{Arc, Mutex};
+
+        #[derive(Default)]
+        struct Workers(Mutex<Vec<usize>>);
+        impl Observer for Workers {
+            fn on_event(&self, event: &Event) {
+                if let Event::BatchScheduled { worker, .. } = event {
+                    self.0.lock().unwrap().push(*worker);
+                }
+            }
+        }
+
+        let cfg = NpuConfig::ascend_like();
+        let seen = Arc::new(Workers::default());
+        let runner = FleetRunner::builder(cfg.clone())
+            .with_calibration(HardwareCalibration::ground_truth(&cfg))
+            .with_config(quick_opts())
+            .with_workers(8)
+            .with_observer(ObserverHandle::from_arc(seen.clone()))
+            .build();
+        let batch = [models::tiny(&cfg), models::tanh_loop(&cfg, 12)];
+        runner.run(&batch).unwrap();
+        // Eight requested workers are capped at the two workloads.
+        let workers = seen.0.lock().unwrap().clone();
+        assert_eq!(workers.len(), 2);
+        assert!(workers.iter().all(|&w| w < 2), "{workers:?}");
     }
 }

@@ -29,8 +29,8 @@ pub struct OptimizerConfig {
     /// Genetic-algorithm settings.
     pub ga: GaConfig,
     /// Worker threads for the parallel profiling sweep (`0` =
-    /// auto-detect via [`npu_dvfs::resolve_threads`], which honours the
-    /// `NPU_THREADS` override). Thread count changes wall time only,
+    /// auto-detect via [`npu_sim::par::resolve_threads`], which honours
+    /// the `NPU_THREADS` override). Thread count changes wall time only,
     /// never results — sweeps are bit-identical at every count.
     pub threads: usize,
     /// Trigger-placement latency override (see

@@ -33,12 +33,11 @@ use crate::serve::ConfigError;
 use npu_dvfs::{DvfsStrategy, Evaluation};
 use npu_obs::{Event, ObserverHandle};
 use npu_power_model::HardwareCalibration;
+use npu_sim::par::par_map;
 use npu_sim::{Device, NpuConfig};
 use npu_workloads::Workload;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -881,50 +880,12 @@ impl OptService {
         load: &[OptRequest],
         items: &[usize],
     ) -> Result<Vec<(DvfsStrategy, Evaluation)>, OptimizeError> {
-        let workers = npu_dvfs::resolve_threads(self.workers)
-            .min(items.len())
-            .max(1);
-        type SessionResult = Result<(DvfsStrategy, Evaluation), OptimizeError>;
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<SessionResult>> = (0..items.len()).map(|_| None).collect();
-        let per_worker: Vec<Vec<(usize, SessionResult)>> = thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    s.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let slot = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&req_idx) = items.get(slot) else {
-                                break;
-                            };
-                            let req = &load[req_idx];
-                            local.push((slot, self.run_one(&req.workload, req.device_seed)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                })
-                .collect()
-        });
-        for (slot, r) in per_worker.into_iter().flatten() {
-            slots[slot] = Some(r);
-        }
-        let mut results = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match slot {
-                Some(Ok(r)) => results.push(r),
-                Some(Err(e)) => return Err(e),
-                None => unreachable!("every item ran exactly once"),
-            }
-        }
-        Ok(results)
+        par_map(self.workers, items.len(), |_, slot| {
+            let req = &load[items[slot]];
+            self.run_one(&req.workload, req.device_seed)
+        })
+        .into_iter()
+        .collect()
     }
 
     /// One real optimization session through the search stage. Shared

@@ -48,7 +48,6 @@ use crate::pool::{assert_pool_matches, GenomePool, PoolScratch};
 use crate::strategy::{Evaluation, StageTable, Sums};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::thread;
 
 /// Incremental evaluator over one genome: a segment tree of per-stage
 /// `Sums` whose root feeds the thermal fix point. Re-scoring after `k`
@@ -307,42 +306,6 @@ const MEMO_SLOTS_PER_GENOME: usize = 16;
 /// ever exceeds half of it).
 const SEEN_SLOTS: usize = 1 << 12;
 
-/// Resolves a requested worker count. An explicit `requested > 0` is
-/// taken literally; `0` means "auto" — the `NPU_THREADS` environment
-/// variable (a positive integer) pins the count, otherwise one worker
-/// per available CPU.
-#[must_use]
-pub fn resolve_threads(requested: usize) -> usize {
-    resolve_threads_with(requested, |name| std::env::var(name).ok())
-}
-
-/// [`resolve_threads`] with an injectable environment lookup, so the
-/// resolution logic is testable without `std::env::set_var` — process
-/// environment mutation is unsynchronized with respect to concurrent
-/// readers (and outright UB on some platforms once threads exist), and
-/// the default test harness runs tests in parallel.
-///
-/// `lookup` is called with the variable name (`"NPU_THREADS"`) and
-/// returns its value, or `None` when unset.
-#[must_use]
-pub fn resolve_threads_with(requested: usize, lookup: impl Fn(&str) -> Option<String>) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    // `0` means "auto": the `NPU_THREADS` environment variable pins the
-    // count (how benches and CI get deterministic parallelism without
-    // touching configs); `0`, unset or unparsable falls through to
-    // one worker per available CPU. Thread count never changes results,
-    // only wall time.
-    if let Some(n) = lookup("NPU_THREADS")
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
 /// Population scorer: memoized and incremental.
 ///
 /// Scores are a pure function of the genome (given the table, baseline
@@ -352,12 +315,10 @@ pub fn resolve_threads_with(requested: usize, lookup: impl Fn(&str) -> Option<St
 /// memo updates run in population-index order, so the memo's (bounded)
 /// eviction sequence is a pure function of the genome sequence.
 ///
-/// The fast path is [`Self::score_pool`] over a bit-packed
-/// [`GenomePool`]; [`Self::score_population`] accepts plain slices and
-/// shares the same memo space via [`crate::pool::genome_fingerprint`]-
-/// compatible staging-pool fingerprints. All dedup and
-/// result buffers are engine-owned: a warm [`Self::score_pool`] call
-/// performs no heap allocation.
+/// [`Self::score_pool`] over a bit-packed [`GenomePool`] is the only
+/// scoring entry point ([`StageTable::evaluate`] stays the reference it
+/// is tested against). All dedup and result buffers are engine-owned: a
+/// warm [`Self::score_pool`] call performs no heap allocation.
 #[derive(Debug)]
 pub struct EvalEngine<'t> {
     table: &'t StageTable,
@@ -370,16 +331,11 @@ pub struct EvalEngine<'t> {
     /// Warm evaluator reused across generations. Tree state depends
     /// only on the current genome, so reuse cannot change any score.
     scratch: PoolScratch<'t>,
-    fps_buf: Vec<u64>,
     scores_buf: Vec<f64>,
     /// Population indices needing evaluation this call.
     pending: Vec<u32>,
     /// `(dst, src)` within-population duplicate copies.
     copy_from: Vec<(u32, u32)>,
-    /// Engine-owned staging pool for the slice API: `score_population`
-    /// packs each genome once here (fingerprints computed in the same
-    /// pass) and then scores through the pool fast path.
-    slice_pool: GenomePool,
     scored: usize,
     unique_scored: usize,
 }
@@ -395,11 +351,9 @@ impl<'t> EvalEngine<'t> {
             memo: FingerprintRing::new(0),
             seen: FingerprintRing::new(SEEN_SLOTS),
             scratch: PoolScratch::new(table),
-            fps_buf: Vec::new(),
             scores_buf: Vec::new(),
             pending: Vec::new(),
             copy_from: Vec::new(),
-            slice_pool: GenomePool::new(table.n_stages(), table.n_freqs()),
             scored: 0,
             unique_scored: 0,
         }
@@ -441,102 +395,55 @@ impl<'t> EvalEngine<'t> {
     #[must_use]
     pub fn score_pool(&mut self, pool: &GenomePool) -> &[f64] {
         assert_pool_matches(pool, self.table);
-        self.fps_buf.clear();
-        self.fps_buf.extend((0..pool.len()).map(|i| pool.fp(i)));
-        self.run_scoring(|scratch, i| scratch.eval_pool(pool, i));
-        &self.scores_buf
-    }
-
-    /// Scores every individual of a slice-based population through the
-    /// same dedup/memo machinery as [`Self::score_pool`] (the
-    /// fingerprints agree, so both paths share one memo space).
-    #[must_use]
-    pub fn score_population(&mut self, population: &[Vec<usize>]) -> Vec<f64> {
-        // Pack each genome exactly once into the engine-owned staging
-        // pool (`push_genes` derives the fingerprint during the same
-        // packing pass) and score through the pool fast path, which
-        // repositions scratches by XOR-diffing packed words. The old
-        // slice path paid two full packing passes per genome — one for
-        // `genome_fingerprint`, one inside `eval_genes` — which left it
-        // slower than unmemoized full evaluation on mutation-sized
-        // diffs. Fingerprints are identical by construction, so both
-        // entry points still share one memo space.
-        let mut pool = std::mem::replace(&mut self.slice_pool, GenomePool::new(0, 1));
-        pool.clear();
-        for genes in population {
-            let _ = pool.push_genes(genes);
-        }
-        let scores = self.score_pool(&pool).to_vec();
-        self.slice_pool = pool;
-        scores
-    }
-
-    /// Shared scoring core. `self.fps_buf` holds the population's
-    /// fingerprints; `eval` evaluates individual `i` on the scratch.
-    /// Results land in `self.scores_buf`.
-    fn run_scoring(&mut self, mut eval: impl FnMut(&mut PoolScratch<'t>, usize) -> Evaluation) {
-        let Self {
-            table: _,
-            baseline_time_us,
-            perf_loss_target,
-            memo,
-            seen,
-            scratch,
-            fps_buf,
-            scores_buf,
-            pending,
-            copy_from,
-            slice_pool: _,
-            scored,
-            unique_scored,
-        } = self;
-        let (bt, lt) = (*baseline_time_us, *perf_loss_target);
-        let count = fps_buf.len();
+        let count = pool.len();
         debug_assert!(count <= u32::MAX as usize, "population exceeds u32 indices");
-        *scored += count;
+        self.scored += count;
 
         // Dedup pass, in index order: resolve duplicates within this
         // population to their first occurrence, serve memoized genomes,
         // queue the rest.
-        if seen.capacity() < count.saturating_mul(2) {
-            *seen = FingerprintRing::new(count * 2);
+        if self.seen.capacity() < count.saturating_mul(2) {
+            self.seen = FingerprintRing::new(count * 2);
         } else {
-            seen.clear();
+            self.seen.clear();
         }
         // The memo grows with the population (dropping its entries, which
         // only costs re-evaluations) and never shrinks.
-        if memo.capacity() < count.saturating_mul(MEMO_SLOTS_PER_GENOME) {
-            *memo = FingerprintRing::new(count * MEMO_SLOTS_PER_GENOME);
+        if self.memo.capacity() < count.saturating_mul(MEMO_SLOTS_PER_GENOME) {
+            self.memo = FingerprintRing::new(count * MEMO_SLOTS_PER_GENOME);
         }
-        scores_buf.clear();
-        scores_buf.resize(count, 0.0);
-        pending.clear();
-        copy_from.clear();
-        for (i, &fp) in fps_buf.iter().enumerate() {
-            if let Some(j) = seen.get(fp) {
-                copy_from.push((i as u32, j));
-            } else if let Some(s) = memo.get(fp) {
-                seen.insert(fp, i as u32);
-                scores_buf[i] = s;
+        self.scores_buf.clear();
+        self.scores_buf.resize(count, 0.0);
+        self.pending.clear();
+        self.copy_from.clear();
+        for i in 0..count {
+            let fp = pool.fp(i);
+            if let Some(j) = self.seen.get(fp) {
+                self.copy_from.push((i as u32, j));
+            } else if let Some(s) = self.memo.get(fp) {
+                self.seen.insert(fp, i as u32);
+                self.scores_buf[i] = s;
             } else {
-                seen.insert(fp, i as u32);
-                pending.push(i as u32);
+                self.seen.insert(fp, i as u32);
+                self.pending.push(i as u32);
             }
         }
-        *unique_scored += pending.len();
+        self.unique_scored += self.pending.len();
 
         // Evaluate the first occurrences in index order on the warm
         // scratch; memo writes follow the same order, so eviction is a
         // pure function of the genome sequence.
-        for &i in pending.iter() {
+        for &i in &self.pending {
             let i = i as usize;
-            let s = score(&eval(scratch, i), bt, lt);
-            scores_buf[i] = s;
-            memo.insert(fps_buf[i], s);
+            let eval = self.scratch.eval_pool(pool, i);
+            let s = score(&eval, self.baseline_time_us, self.perf_loss_target);
+            self.scores_buf[i] = s;
+            self.memo.insert(pool.fp(i), s);
         }
-        for &(dst, src) in copy_from.iter() {
-            scores_buf[dst as usize] = scores_buf[src as usize];
+        for &(dst, src) in &self.copy_from {
+            self.scores_buf[dst as usize] = self.scores_buf[src as usize];
         }
+        &self.scores_buf
     }
 }
 
@@ -686,6 +593,14 @@ mod tests {
         StageTable::from_parts(freqs, stages, time, ea, es).unwrap()
     }
 
+    fn pool_of(t: &StageTable, population: &[Vec<usize>]) -> GenomePool {
+        let mut pool = GenomePool::new(t.n_stages(), t.n_freqs());
+        for genes in population {
+            pool.push_genes(genes);
+        }
+        pool
+    }
+
     fn assert_bit_identical(a: &Evaluation, b: &Evaluation) {
         assert_eq!(a.time_us.to_bits(), b.time_us.to_bits());
         assert_eq!(a.aicore_energy_wus.to_bits(), b.aicore_energy_wus.to_bits());
@@ -751,22 +666,19 @@ mod tests {
             .map(|g| score(&t.evaluate(g), baseline, 0.02))
             .collect();
         let mut engine = EvalEngine::new(&t, baseline, 0.02);
-        let got = engine.score_population(&population);
+        let got = engine.score_pool(&pool_of(&t, &population));
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got), bits(&expect));
+        assert_eq!(bits(got), bits(&expect));
     }
 
     #[test]
-    fn pool_scores_bit_match_slices_and_direct_evaluation() {
+    fn pool_scores_bit_match_direct_evaluation_and_memo_hits() {
         let t = table(11);
         let baseline = t.baseline().time_us;
         let population: Vec<Vec<usize>> = (0..200)
             .map(|i| (0..11).map(|s| (i * 5 + s * 7 + 1) % t.n_freqs()).collect())
             .collect();
-        let mut pool = GenomePool::new(11, t.n_freqs());
-        for g in &population {
-            pool.push_genes(g);
-        }
+        let pool = pool_of(&t, &population);
         let expect: Vec<u64> = population
             .iter()
             .map(|g| score(&t.evaluate(g), baseline, 0.02).to_bits())
@@ -778,16 +690,16 @@ mod tests {
             .map(|s| s.to_bits())
             .collect();
         assert_eq!(via_pool, expect, "pool path");
-        // The slice path shares the same memo space (identical
-        // fingerprints), so everything is now a memo hit.
+        // A freshly packed copy of the same genomes carries identical
+        // fingerprints, so everything is now a memo hit.
         let before = engine.unique_scored();
-        let via_slices: Vec<u64> = engine
-            .score_population(&population)
+        let via_memo: Vec<u64> = engine
+            .score_pool(&pool_of(&t, &population))
             .iter()
             .map(|s| s.to_bits())
             .collect();
-        assert_eq!(via_slices, expect, "slice path");
-        assert_eq!(engine.unique_scored(), before, "memo spaces must agree");
+        assert_eq!(via_memo, expect, "memo path");
+        assert_eq!(engine.unique_scored(), before, "memo must serve repeats");
     }
 
     #[test]
@@ -798,7 +710,7 @@ mod tests {
         let a = vec![1, 2, 3, 4];
         let b = vec![8, 8, 8, 8];
         let population = vec![a.clone(), b.clone(), a.clone(), a.clone()];
-        let scores = engine.score_population(&population);
+        let scores = engine.score_pool(&pool_of(&t, &population)).to_vec();
         assert_eq!(engine.scored(), 4);
         assert_eq!(engine.unique_scored(), 2);
         assert_eq!(engine.memo_len(), 2);
@@ -806,9 +718,9 @@ mod tests {
         assert_eq!(scores[0].to_bits(), scores[2].to_bits());
         assert_eq!(scores[0].to_bits(), scores[3].to_bits());
         // A later generation repeating a genome is served from the memo.
-        let again = engine.score_population(std::slice::from_ref(&a));
+        let again = engine.score_pool(&pool_of(&t, std::slice::from_ref(&a)))[0];
         assert_eq!(engine.unique_scored(), 2);
-        assert_eq!(again[0].to_bits(), scores[0].to_bits());
+        assert_eq!(again.to_bits(), scores[0].to_bits());
     }
 
     #[test]
@@ -848,31 +760,6 @@ mod tests {
         }
         let _ = engine.score_pool(&pool);
         assert_eq!(engine.memo_capacity(), 4_096);
-    }
-
-    #[test]
-    fn npu_threads_env_pins_auto_detection() {
-        // Explicit counts always beat the environment; NPU_THREADS only
-        // steers the `0 = auto` path, and `0`/garbage stay auto. The
-        // lookup is injected instead of mutating the process environment:
-        // `set_var` is unsynchronized with concurrent readers under the
-        // parallel test harness (see `resolve_threads_with`).
-        let env = |val: &'static str| {
-            move |name: &str| {
-                assert_eq!(name, "NPU_THREADS");
-                Some(val.to_string())
-            }
-        };
-        assert_eq!(resolve_threads_with(5, env("3")), 5);
-        assert_eq!(resolve_threads_with(0, env("3")), 3);
-        assert_eq!(resolve_threads_with(0, env(" 12 ")), 12);
-        assert!(resolve_threads_with(0, env("0")) >= 1);
-        assert!(resolve_threads_with(0, env("not-a-number")) >= 1);
-        assert!(resolve_threads_with(0, |_| None) >= 1);
-        // The env-reading wrapper stays a thin pass-through: with an
-        // explicit request it never consults the environment at all.
-        assert_eq!(resolve_threads(7), 7);
-        assert!(resolve_threads(0) >= 1);
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //!   point mutation;
 //! * [`EvalEngine`] / [`IncrementalEval`] / [`RouletteWheel`] — the
 //!   evaluation engine behind [`search`]: memoized (bounded,
-//!   deterministically evicting [`FingerprintRing`]), incremental
+//!   deterministically evicting [`FingerprintRing`]) and incremental
 //!   (O(changed genes · log stages) per re-score, bit-identical to a
-//!   full pass) and parallel across `std::thread::scope` workers without
-//!   perturbing the seeded search trajectory;
+//!   full pass), scoring on the calling thread so the seeded search
+//!   trajectory never depends on scheduling;
 //! * [`GenomePool`] / [`PoolScratch`] — the bit-packed structure-of-
 //!   arrays genome arena the GA generations live in: 4 bits per gene for
 //!   the paper's 9-level frequency ladder, one contiguous buffer reused
@@ -59,7 +59,7 @@ mod strategy;
 
 pub use baseline::{phase_level, program_level, BaselineOutcome};
 pub use classify::{Bottleneck, Sensitivity};
-pub use engine::{resolve_threads, EvalEngine, IncrementalEval, RouletteWheel};
+pub use engine::{EvalEngine, IncrementalEval, RouletteWheel};
 pub use exact::{ExactConfig, ExactOutcome, LagrangianSeed};
 pub use ga::{score, search, search_observed, GaConfig, GaOutcome};
 pub use memo::FingerprintRing;

@@ -17,6 +17,10 @@
 //! * a **virtual device** with a compute stream, a `SetFreq` stream with
 //!   apply latency, a profiler and power telemetry ([`Device`]).
 //!
+//! It also hosts [`par::par_map`], the deterministic indexed fan-out
+//! that every parallel sweep, calibration, fleet and service loop of the
+//! workspace runs on.
+//!
 //! # Quick example
 //!
 //! ```
@@ -48,6 +52,7 @@ mod freq;
 mod hook;
 mod noise;
 mod operator;
+pub mod par;
 pub mod power;
 pub mod profile;
 mod profiler;

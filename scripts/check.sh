@@ -10,9 +10,18 @@ cargo fmt --all --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy panic-freedom gate (npu-sim, npu-exec library code)"
-cargo clippy -p npu-sim -p npu-exec --lib -- \
+echo "==> cargo clippy panic-freedom gate (npu-sim, npu-exec, npu-dvfs, npu-power-model library code)"
+cargo clippy -p npu-sim -p npu-exec -p npu-dvfs -p npu-power-model --lib -- \
   -D warnings -D clippy::unwrap_used -D clippy::expect_used
+
+echo "==> fan-out gate (thread::scope only inside npu_sim::par)"
+# Every parallel loop runs on the one deterministic indexed helper,
+# npu_sim::par::par_map; hand-rolled work-stealing pools must not grow
+# back in library source. Integration tests (tests/) are exempt.
+if grep -rn --include='*.rs' 'thread::scope' crates/*/src src | grep -v '^crates/npu-sim/src/par\.rs:'; then
+  echo "thread::scope outside npu_sim::par: use npu_sim::par::par_map" >&2
+  exit 1
+fi
 
 echo "==> cargo test"
 cargo test --workspace --quiet
@@ -64,9 +73,8 @@ CRITERION_SMOKE=1 cargo bench -p npu-bench --bench simulator
 # score_pool pass, and the exact
 # Pareto-DP oracle certifying the GA result with a gap of exactly 0.0.
 ga_fields="full_policies_per_sec incremental_policies_per_sec \
-engine_policies_per_sec pool_policies_per_sec engine_speedup \
-pool_vs_engine_speedup pool_bit_identical pool_score_allocs memo_slots \
-optimality_gap oracle_certified lagrangian_secs ga_search_secs"
+pool_policies_per_sec pool_speedup pool_bit_identical pool_score_allocs \
+memo_slots optimality_gap oracle_certified lagrangian_secs ga_search_secs"
 for f in $ga_fields; do
   grep -q "\"$f\"" BENCH_ga_eval.smoke.json \
     || { echo "BENCH_ga_eval.smoke.json: missing field $f" >&2; exit 1; }
@@ -93,20 +101,16 @@ awk -F': ' '/"memo_slots"/ { if ($2 + 0 > 8192) exit 1 }' BENCH_ga_eval.smoke.js
 rm -f BENCH_ga_eval.smoke.json
 
 # The checked-in full-run measurement must carry the same fields, show
-# the >= 5x pool-vs-engine speedup, and the same correctness artifacts
+# the pool scoring >= 5x faster than full evaluation on the same genome
+# stream, and the same correctness artifacts
 # (full runs: cargo bench -p npu-bench --bench ga_eval, no
 # CRITERION_SMOKE).
 for f in $ga_fields; do
   grep -q "\"$f\"" BENCH_ga_eval.json \
     || { echo "BENCH_ga_eval.json: missing field $f" >&2; exit 1; }
 done
-awk -F': ' '/"pool_vs_engine_speedup"/ { if ($2 + 0 < 5.0) exit 1 }' BENCH_ga_eval.json \
-  || { echo "BENCH_ga_eval.json: pool speedup below 5x" >&2; exit 1; }
-# Regression pin: the engine's slice path once re-packed every genome
-# twice per scoring call and recorded slower than scoring from scratch
-# (engine_speedup 0.81). It must never lose to full evaluation again.
-awk -F': ' '/"engine_speedup"/ { if ($2 + 0 < 1.0) exit 1 }' BENCH_ga_eval.json \
-  || { echo "BENCH_ga_eval.json: engine slower than full evaluation" >&2; exit 1; }
+awk -F': ' '/"pool_speedup"/ { if ($2 + 0 < 5.0) exit 1 }' BENCH_ga_eval.json \
+  || { echo "BENCH_ga_eval.json: pool speedup over full evaluation below 5x" >&2; exit 1; }
 # Oracle seeding must stay a small share of the search it seeds.
 awk -F': ' '/"lagrangian_secs"/ { l = $2 + 0 } /"ga_search_secs"/ { g = $2 + 0 }
   END { if (l > 0.25 * g) exit 1 }' BENCH_ga_eval.json \
