@@ -9,9 +9,7 @@
 //!    a thermal fix point on the totals. [`IncrementalEval`] keeps the
 //!    per-stage cells in a fixed-topology pairwise summation tree
 //!    (leaves padded with zeros to a power of two), so changing one gene
-//!    updates O(log n) tree nodes instead of re-summing n stages, and a
-//!    batch of changes recomputes each dirty ancestor once, level by
-//!    level ([`IncrementalEval::set_genes`]) — and,
+//!    updates O(log n) tree nodes instead of re-summing n stages — and,
 //!    because [`crate::StageTable::evaluate`] reduces over the *same*
 //!    tree shape, the root sums are **bit-identical** to a fresh full
 //!    pass after any sequence of gene flips (`x + 0.0` is exact, and
@@ -26,13 +24,16 @@
 //!    [`FingerprintRing`] sized from the population (16 slots per
 //!    genome: ~96 KB for a 200-genome generation) rather than an
 //!    unbounded map — and evaluates only first occurrences.
-//! 4. **Flat genomes.** The fast path scores a bit-packed
-//!    [`GenomePool`]: fingerprints are maintained incrementally by the
+//! 4. **Lineage block sums.** The fast path scores a bit-packed
+//!    [`GenomePool`]. Fingerprints are maintained incrementally by the
 //!    pool (O(1) per mutation instead of an O(n) hash per lookup), and
-//!    one warm [`PoolScratch`] evaluator repositions by XOR-diffing
-//!    packed words and committing the changed genes in one batch. All
-//!    buffers are engine-owned and reused, so a warm scoring pass
-//!    allocates nothing.
+//!    every genome carries the block-level nodes of the same summation
+//!    tree, kept in step by the pool edits that built it from its
+//!    parents: a child costs at most two block rebuilds when it is
+//!    made, and scoring it is a pairwise reduce over ~`sqrt(n)` block
+//!    sums plus the fix point, however far apart consecutive genomes
+//!    are. All buffers are engine- or pool-owned and reused, so a warm
+//!    scoring pass allocates nothing.
 //!
 //! The memetic refinement probes whole rows of single-gene moves with
 //! [`IncrementalEval::probe_row`]: one load of the sibling path per
@@ -44,7 +45,7 @@
 
 use crate::ga::score;
 use crate::memo::FingerprintRing;
-use crate::pool::{assert_pool_matches, GenomePool, PoolScratch};
+use crate::pool::GenomePool;
 use crate::strategy::{Evaluation, StageTable, Sums};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -66,10 +67,6 @@ pub struct IncrementalEval<'t> {
     /// Heap-ordered tree, `2 * n_pad` nodes; root at index 1, leaf `i` at
     /// `n_pad + i`. Padding leaves stay [`Sums::ZERO`] forever.
     nodes: Vec<Sums>,
-    /// Commit scratch for [`Self::set_genes`]: the dirty nodes of one
-    /// tree level. Reserved for every stage up front, so a commit never
-    /// allocates.
-    dirty: Vec<usize>,
 }
 
 impl<'t> IncrementalEval<'t> {
@@ -100,7 +97,6 @@ impl<'t> IncrementalEval<'t> {
             genes: genes.to_vec(),
             n_pad,
             nodes,
-            dirty: Vec::with_capacity(n),
         }
     }
 
@@ -134,61 +130,9 @@ impl<'t> IncrementalEval<'t> {
         }
     }
 
-    /// Sets many genes in one commit: writes every changed leaf, then
-    /// recomputes each dirty ancestor once, level by level from the
-    /// leaves up. `k` changes cost at most `k` node updates per level —
-    /// and far fewer near the root, where their paths merge — instead of
-    /// `k` separate leaf-to-root walks. Every node is recomputed as
-    /// `left + right` from its final children, so the tree ends up
-    /// bit-identical to a fresh build of the new genome.
-    ///
-    /// Changes in ascending stage order keep each level sorted, so a
-    /// parent shared by two dirty children is recognised as a repeat of
-    /// the previous one; any other order is still exact, it only
-    /// recomputes some parents twice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a `stage` or `gene` is out of range.
-    pub(crate) fn set_genes(&mut self, changes: impl IntoIterator<Item = (usize, usize)>) {
-        let Self {
-            table,
-            genes,
-            n_pad,
-            nodes,
-            dirty,
-        } = self;
-        dirty.clear();
-        for (stage, gene) in changes {
-            if genes[stage] != gene {
-                genes[stage] = gene;
-                nodes[*n_pad + stage] = table.cell(stage, gene);
-                dirty.push(*n_pad + stage);
-            }
-        }
-        // Every leaf sits at the same depth, so `dirty` always holds one
-        // level; each pass replaces it by its parents, in place. Node 0
-        // is unused, so `prev = 0` matches no parent.
-        while dirty.first().is_some_and(|&i| i > 1) {
-            let (mut kept, mut prev) = (0, 0);
-            for r in 0..dirty.len() {
-                let p = dirty[r] / 2;
-                if p == prev {
-                    continue;
-                }
-                nodes[p] = Sums::add(nodes[2 * p], nodes[2 * p + 1]);
-                dirty[kept] = p;
-                kept += 1;
-                prev = p;
-            }
-            dirty.truncate(kept);
-        }
-    }
-
     /// Repositions the evaluator at `genes`, touching only the stages
-    /// that differ from the current genome. Costs O(diff · log n) — for
-    /// GA offspring (a crossover suffix plus a point mutation away from a
-    /// parent) this is far below a full rebuild.
+    /// that differ from the current genome: O(diff · log n) instead of a
+    /// full rebuild.
     ///
     /// # Panics
     ///
@@ -328,9 +272,8 @@ pub struct EvalEngine<'t> {
     memo: FingerprintRing<f64>,
     /// Within-call dedup: fingerprint → first population index.
     seen: FingerprintRing<u32>,
-    /// Warm evaluator reused across generations. Tree state depends
-    /// only on the current genome, so reuse cannot change any score.
-    scratch: PoolScratch<'t>,
+    /// Reduce buffer for one genome's block sums.
+    level: Vec<Sums>,
     scores_buf: Vec<f64>,
     /// Population indices needing evaluation this call.
     pending: Vec<u32>,
@@ -350,7 +293,7 @@ impl<'t> EvalEngine<'t> {
             perf_loss_target,
             memo: FingerprintRing::new(0),
             seen: FingerprintRing::new(SEEN_SLOTS),
-            scratch: PoolScratch::new(table),
+            level: Vec::new(),
             scores_buf: Vec::new(),
             pending: Vec::new(),
             copy_from: Vec::new(),
@@ -391,10 +334,13 @@ impl<'t> EvalEngine<'t> {
     ///
     /// # Panics
     ///
-    /// Panics if the pool's shape disagrees with the engine's table.
+    /// Panics if the pool was not built from the engine's table.
     #[must_use]
-    pub fn score_pool(&mut self, pool: &GenomePool) -> &[f64] {
-        assert_pool_matches(pool, self.table);
+    pub fn score_pool(&mut self, pool: &GenomePool<'_>) -> &[f64] {
+        assert!(
+            std::ptr::eq(pool.table(), self.table),
+            "genome pool must be built from the engine's table"
+        );
         let count = pool.len();
         debug_assert!(count <= u32::MAX as usize, "population exceeds u32 indices");
         self.scored += count;
@@ -430,12 +376,16 @@ impl<'t> EvalEngine<'t> {
         }
         self.unique_scored += self.pending.len();
 
-        // Evaluate the first occurrences in index order on the warm
-        // scratch; memo writes follow the same order, so eviction is a
+        // Evaluate the first occurrences in index order from their
+        // block sums; memo writes follow the same order, so eviction is a
         // pure function of the genome sequence.
         for &i in &self.pending {
             let i = i as usize;
-            let eval = self.scratch.eval_pool(pool, i);
+            self.level.clear();
+            self.level.extend_from_slice(pool.blocks_of(i));
+            let eval = self
+                .table
+                .finish_sums(Sums::reduce_in_place(&mut self.level));
             let s = score(&eval, self.baseline_time_us, self.perf_loss_target);
             self.scores_buf[i] = s;
             self.memo.insert(pool.fp(i), s);
@@ -593,8 +543,8 @@ mod tests {
         StageTable::from_parts(freqs, stages, time, ea, es).unwrap()
     }
 
-    fn pool_of(t: &StageTable, population: &[Vec<usize>]) -> GenomePool {
-        let mut pool = GenomePool::new(t.n_stages(), t.n_freqs());
+    fn pool_of<'t>(t: &'t StageTable, population: &[Vec<usize>]) -> GenomePool<'t> {
+        let mut pool = GenomePool::new(t);
         for genes in population {
             pool.push_genes(genes);
         }
@@ -703,6 +653,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "engine's table")]
+    fn score_pool_rejects_a_pool_built_from_another_table() {
+        // Block sums come from the pool's table: an equal-shaped table at
+        // another address is refused rather than trusted.
+        let (t, other) = (table(4), table(4));
+        let mut engine = EvalEngine::new(&t, t.baseline().time_us, 0.02);
+        let _ = engine.score_pool(&pool_of(&other, &[vec![0; 4]]));
+    }
+
+    #[test]
     fn engine_memoizes_duplicates() {
         let t = table(4);
         let baseline = t.baseline().time_us;
@@ -733,7 +693,7 @@ mod tests {
         let mut largest = 0;
         for (size, seed) in [(10, 1), (200, 2), (50, 3), (333, 4), (1, 5)] {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut pool = GenomePool::new(6, t.n_freqs());
+            let mut pool = GenomePool::new(&t);
             for _ in 0..size {
                 let genes: Vec<usize> = (0..6).map(|_| rng.gen_range(0..t.n_freqs())).collect();
                 pool.push_genes(&genes);
@@ -754,7 +714,7 @@ mod tests {
         }
         // The GA's paper-scale generation of 200 genomes gets 4,096 slots.
         let mut engine = EvalEngine::new(&t, baseline, 0.02);
-        let mut pool = GenomePool::new(6, t.n_freqs());
+        let mut pool = GenomePool::new(&t);
         for _ in 0..200 {
             pool.push_genes(&[0; 6]);
         }
@@ -764,14 +724,14 @@ mod tests {
 
     #[test]
     fn template_reuse_is_stable_across_generations() {
-        // Successive generations reuse the persistent scratch; scores
+        // Successive generations reuse the engine's buffers; scores
         // must stay identical to direct evaluation no matter what the
         // previous generation left behind.
         let t = table(9);
         let baseline = t.baseline().time_us;
         let mut engine = EvalEngine::new(&t, baseline, 0.02);
         for gen in 0..3_usize {
-            let mut pool = GenomePool::new(9, t.n_freqs());
+            let mut pool = GenomePool::new(&t);
             let population: Vec<Vec<usize>> = (0..200)
                 .map(|i| {
                     (0..9)

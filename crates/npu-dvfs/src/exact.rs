@@ -41,7 +41,6 @@
 //! on large schedules these seed the GA population with near-optimal
 //! individuals that point mutation alone could not rediscover.
 
-use crate::engine::IncrementalEval;
 use crate::ga::score;
 use crate::strategy::{Evaluation, StageTable};
 
@@ -331,13 +330,14 @@ pub fn solve(table: &StageTable, cfg: &ExactConfig) -> ExactOutcome {
 /// the distinct candidates sorted by score, best first, truncated to
 /// `max_seeds`.
 ///
-/// The repair costs one sort per over-budget rung plus O(log n) per
-/// upgrade: ratios are static (each reads only its stage's current and
-/// min-time cells, and an upgraded stage leaves the pool), so the greedy
-/// sequence is the ratio order with ties to the lowest stage index, and
-/// the stop test reads an [`IncrementalEval`] whose time is bit-identical
-/// to [`StageTable::evaluate`]. For NaN-free ratios this reproduces the
-/// rescan-per-upgrade greedy bit for bit.
+/// The repair costs one sort of every `(stage, gene)` upgrade per sweep
+/// plus O(log n) per upgrade: ratios are static (each reads only its
+/// stage's current and min-time cells, and an upgraded stage leaves the
+/// pool), so a rung's greedy sequence is the ratio order of its own
+/// stages' entries with ties to the lowest stage index, and the stop
+/// test reads a time-only copy of the summation tree whose root is
+/// bit-identical to [`StageTable::evaluate`]'s time. For NaN-free ratios
+/// this reproduces the rescan-per-upgrade greedy bit for bit.
 ///
 /// # Panics
 ///
@@ -356,41 +356,50 @@ pub fn lagrangian_seeds(table: &StageTable, loss: f64, max_seeds: usize) -> Vec<
     let sweep = ladder_lambdas(table);
     let min_time_gene = min_time_genes(table);
 
+    // Every (stage, gene) a repair can upgrade from, in repair order:
+    // time-saved-per-energy ratio descending under `total_cmp`, then
+    // stage ascending. A rung's upgrades are the entries whose gene is
+    // that rung's, so this one sort serves every rung.
+    let mut upgrades: Vec<(u64, usize, usize)> = Vec::with_capacity(n * m);
+    for (s, &fast) in min_time_gene.iter().enumerate() {
+        let nxt = table.cell(s, fast);
+        for g in 0..m {
+            let cur = table.cell(s, g);
+            let saved = cur.time - nxt.time;
+            if g != fast && saved > 0.0 {
+                let ratio = saved / (nxt.ea - cur.ea).max(1e-12);
+                upgrades.push((descending_key(ratio), s, g));
+            }
+        }
+    }
+    upgrades.sort_unstable();
+
     let mut seen = std::collections::BTreeSet::new();
     let mut out: Vec<LagrangianSeed> = Vec::new();
     let mut genes = vec![0usize; n];
-    let mut rung = IncrementalEval::new(table, &genes);
-    let mut upgrades: Vec<(f64, usize)> = Vec::with_capacity(n);
+    let mut times = TimeTree::new(n);
     for &lambda in sweep.iter().chain(std::iter::once(&f64::MAX)) {
         relaxed_argmin(table, lambda, &mut genes);
-        rung.assign(&genes);
+        times.build(table, &genes);
         // Budget repair: walk over-budget rungs back toward speed, best
-        // time-saved-per-energy ratio first (static ratios: one sort).
-        if rung.eval().time_us > budget {
-            upgrades.clear();
-            upgrades.extend((0..n).filter_map(|s| {
-                let (g, fast) = (genes[s], min_time_gene[s]);
-                let (cur, nxt) = (table.cell(s, g), table.cell(s, fast));
-                let saved = cur.time - nxt.time;
-                if g == fast || saved <= 0.0 {
-                    return None;
-                }
-                Some((saved / (nxt.ea - cur.ea).max(1e-12), s))
-            }));
-            upgrades.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-            let mut queue = upgrades.iter();
-            while rung.eval().time_us > budget {
-                let Some(&(_, s)) = queue.next() else { break };
-                rung.set_gene(s, min_time_gene[s]);
-            }
+        // ratio first. An upgraded stage holds its min-time gene, which
+        // no entry upgrades from, so it never matches again.
+        let mut queue = upgrades.iter();
+        while times.root() > budget {
+            let Some(&(_, s, _)) = queue.find(|&&(_, s, g)| genes[s] == g) else {
+                break;
+            };
+            genes[s] = min_time_gene[s];
+            times.set(s, table.cell(s, genes[s]).time);
         }
-        if seen.insert(rung.genes().to_vec()) {
-            let eval = rung.eval();
+        if !seen.contains(&genes) {
+            let eval = table.evaluate(&genes);
             out.push(LagrangianSeed {
-                genes: rung.genes().to_vec(),
+                genes: genes.clone(),
                 score: score(&eval, baseline_time, loss),
                 eval,
             });
+            seen.insert(genes.clone());
         }
     }
     out.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.genes.cmp(&b.genes)));
@@ -419,7 +428,7 @@ fn ladder_lambdas(table: &StageTable) -> Vec<f64> {
         }
     }
     lambdas.retain(|l| l.is_finite() && *l >= 0.0);
-    lambdas.sort_by(f64::total_cmp);
+    lambdas.sort_unstable_by(f64::total_cmp);
     lambdas.dedup();
     const MAX_LAMBDAS: usize = 192;
     if lambdas.len() <= MAX_LAMBDAS {
@@ -432,27 +441,76 @@ fn ladder_lambdas(table: &StageTable) -> Vec<f64> {
 }
 
 /// Writes the per-stage argmin of `e + λ·t` into `genes`
-/// (`λ = f64::MAX` minimizes time alone).
+/// (`λ = f64::MAX` minimizes time alone), the lowest gene on ties.
 fn relaxed_argmin(table: &StageTable, lambda: f64, genes: &mut [usize]) {
-    let m = table.n_freqs();
+    let time_only = lambda == f64::MAX;
     for (s, g) in genes.iter_mut().enumerate() {
-        *g = (0..m)
-            .min_by(|&a, &b| {
-                let ca = table.cell(s, a);
-                let cb = table.cell(s, b);
-                let va = if lambda == f64::MAX {
-                    ca.time
-                } else {
-                    ca.ea + lambda * ca.time
-                };
-                let vb = if lambda == f64::MAX {
-                    cb.time
-                } else {
-                    cb.ea + lambda * cb.time
-                };
-                va.total_cmp(&vb)
-            })
-            .unwrap_or(m - 1);
+        let (time, ea) = table.time_and_aicore_rows(s);
+        let (mut best, mut best_value) = (0, f64::NAN);
+        for (j, (&t, &e)) in time.iter().zip(ea).enumerate() {
+            let v = if time_only { t } else { e + lambda * t };
+            if j == 0 || v.total_cmp(&best_value).is_lt() {
+                (best, best_value) = (j, v);
+            }
+        }
+        *g = best;
+    }
+}
+
+/// A sort key whose ascending order is `f64::total_cmp`'s descending
+/// order: total order read as unsigned integers (negatives bit-flipped,
+/// non-negatives sign-bit-set), then inverted.
+fn descending_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    let ascending = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    !ascending
+}
+
+/// The time component of the pairwise summation tree
+/// [`StageTable::evaluate`] reduces (heap order, root at 1, leaves
+/// zero-padded to a power of two): its root is bit-identical to the
+/// evaluation's `time_us` (the thermal fix point adjusts energies only).
+#[derive(Debug)]
+struct TimeTree {
+    n_pad: usize,
+    nodes: Vec<f64>,
+}
+
+impl TimeTree {
+    fn new(n_stages: usize) -> Self {
+        let n_pad = n_stages.next_power_of_two();
+        Self {
+            n_pad,
+            nodes: vec![0.0; 2 * n_pad],
+        }
+    }
+
+    /// Positions the tree at `genes`.
+    fn build(&mut self, table: &StageTable, genes: &[usize]) {
+        for (s, &g) in genes.iter().enumerate() {
+            self.nodes[self.n_pad + s] = table.cell(s, g).time;
+        }
+        for i in (1..self.n_pad).rev() {
+            self.nodes[i] = self.nodes[2 * i] + self.nodes[2 * i + 1];
+        }
+    }
+
+    /// Sets one stage's time and re-sums its ancestors.
+    fn set(&mut self, stage: usize, time: f64) {
+        let mut i = self.n_pad + stage;
+        self.nodes[i] = time;
+        while i > 1 {
+            i /= 2;
+            self.nodes[i] = self.nodes[2 * i] + self.nodes[2 * i + 1];
+        }
+    }
+
+    fn root(&self) -> f64 {
+        self.nodes[1]
     }
 }
 
@@ -643,10 +701,36 @@ mod tests {
         assert!(seeds[0].score >= base_score);
     }
 
+    /// The per-stage argmin as it was first written, kept word for word
+    /// for [`reference_seeds`].
+    fn reference_argmin(table: &StageTable, lambda: f64, genes: &mut [usize]) {
+        let m = table.n_freqs();
+        for (s, g) in genes.iter_mut().enumerate() {
+            *g = (0..m)
+                .min_by(|&a, &b| {
+                    let ca = table.cell(s, a);
+                    let cb = table.cell(s, b);
+                    let va = if lambda == f64::MAX {
+                        ca.time
+                    } else {
+                        ca.ea + lambda * ca.time
+                    };
+                    let vb = if lambda == f64::MAX {
+                        cb.time
+                    } else {
+                        cb.ea + lambda * cb.time
+                    };
+                    va.total_cmp(&vb)
+                })
+                .unwrap_or(m - 1);
+        }
+    }
+
     /// The budget-repair ladder as it was before the incremental repair,
-    /// kept word for word: an O(n) best-ratio scan plus a full
-    /// `evaluate` per single-stage upgrade. The property below checks
-    /// [`lagrangian_seeds`] against it bit for bit.
+    /// kept word for word (its argmin is [`reference_argmin`]): an O(n)
+    /// best-ratio scan plus a full `evaluate` per single-stage upgrade.
+    /// The property below checks [`lagrangian_seeds`] against it bit for
+    /// bit.
     fn reference_seeds(table: &StageTable, loss: f64, max_seeds: usize) -> Vec<LagrangianSeed> {
         let n = table.n_stages();
         let m = table.n_freqs();
@@ -664,7 +748,7 @@ mod tests {
         let mut out: Vec<LagrangianSeed> = Vec::new();
         let mut genes = vec![0usize; n];
         for &lambda in sweep.iter().chain(std::iter::once(&f64::MAX)) {
-            relaxed_argmin(table, lambda, &mut genes);
+            reference_argmin(table, lambda, &mut genes);
             // Budget repair: walk over-budget rungs back toward speed, best
             // time-saved-per-energy ratio first.
             let mut eval = table.evaluate(&genes);
@@ -813,6 +897,33 @@ mod tests {
             k in 1usize..12,
         ) {
             check_against_reference(&random_table(seed, n, m, shape, coupled), loss, k)?;
+        }
+    }
+
+    #[test]
+    fn descending_key_orders_like_total_cmp_reversed() {
+        let values = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1e-300,
+            -1e-300,
+            2.5,
+            -2.5,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    descending_key(a).cmp(&descending_key(b)),
+                    b.total_cmp(&a),
+                    "{a} vs {b}"
+                );
+            }
         }
     }
 

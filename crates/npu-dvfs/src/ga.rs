@@ -23,7 +23,7 @@
 
 use crate::engine::{EvalEngine, IncrementalEval, RouletteWheel};
 use crate::exact;
-use crate::pool::GenomePool;
+use crate::pool::{genome_fingerprint, GenomePool};
 use crate::preprocess::StageKind;
 use crate::strategy::{DvfsStrategy, Evaluation, StageTable};
 use npu_obs::{Event, ObserverHandle};
@@ -260,8 +260,8 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
             .position(|&g| g >= f)
             .unwrap_or(max_gene)
     };
-    let mut pool = GenomePool::with_capacity(n, m, cfg.population + 1);
-    let mut next = GenomePool::with_capacity(n, m, cfg.population + 1);
+    let mut pool = GenomePool::with_capacity(table, cfg.population + 1);
+    let mut next = GenomePool::with_capacity(table, cfg.population + 1);
     let mut genes_buf: Vec<usize> = vec![max_gene; n];
     pool.push_genes(&genes_buf); // baseline individual
     if cfg.include_prior {
@@ -339,6 +339,8 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
     // perturb the search trajectory.
     let mut engine = EvalEngine::new(table, baseline_time, cfg.perf_loss_target);
     let mut score_trace = Vec::with_capacity(cfg.iterations);
+    // Read out for the refinement; generations carry the best genome by
+    // index instead.
     let mut best_genes = vec![max_gene; n]; // the baseline individual
     let mut best_score = f64::NEG_INFINITY;
     let mut prev_memo_hits = 0;
@@ -353,10 +355,21 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .unwrap_or((0, f64::NEG_INFINITY));
-        if gen_best > best_score {
+        // The best genome so far is in this generation: where it just
+        // improved, or else the elite at index 0 (which is also the
+        // baseline individual `best_genes` starts as).
+        let best_idx = if gen_best > best_score {
             best_score = gen_best;
             pool.read_genes(gen_best_idx, &mut best_genes);
-        }
+            gen_best_idx
+        } else {
+            0
+        };
+        debug_assert_eq!(
+            pool.fp(best_idx),
+            genome_fingerprint(&best_genes, m),
+            "elite index must hold the best genome"
+        );
         score_trace.push(best_score);
 
         // Next generation: elite + roulette-selected offspring via the
@@ -374,7 +387,7 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
             prev_memo_hits = memo_hits;
         }
         next.clear();
-        next.push_genes(&best_genes); // elitism
+        next.push_copy_from(&pool, best_idx); // elitism
         while next.len() < cfg.population {
             let pa = wheel.sample(&mut rng);
             let pb = wheel.sample(&mut rng);

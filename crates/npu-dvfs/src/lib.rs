@@ -15,16 +15,18 @@
 //!   performance bound is met, roulette selection, last-`k` crossover and
 //!   point mutation;
 //! * [`EvalEngine`] / [`IncrementalEval`] / [`RouletteWheel`] — the
-//!   evaluation engine behind [`search`]: memoized (bounded,
-//!   deterministically evicting [`FingerprintRing`]) and incremental
-//!   (O(changed genes · log stages) per re-score, bit-identical to a
-//!   full pass), scoring on the calling thread so the seeded search
-//!   trajectory never depends on scheduling;
-//! * [`GenomePool`] / [`PoolScratch`] — the bit-packed structure-of-
-//!   arrays genome arena the GA generations live in: 4 bits per gene for
-//!   the paper's 9-level frequency ladder, one contiguous buffer reused
-//!   across generations, O(1) incrementally-maintained fingerprints, and
-//!   word-level delta extraction so scoring touches only changed stages;
+//!   evaluation engine behind [`search`]: generations are scored from
+//!   their pools' block sums and memoized (bounded, deterministically
+//!   evicting [`FingerprintRing`]); the refinement probes single-gene
+//!   moves in O(log stages) on an incremental tree. Both are
+//!   bit-identical to a full pass and run on the calling thread, so the
+//!   seeded search trajectory never depends on scheduling;
+//! * [`GenomePool`] — the bit-packed structure-of-arrays genome arena
+//!   the GA generations live in: 4 bits per gene for the paper's 9-level
+//!   frequency ladder, one contiguous buffer reused across generations,
+//!   O(1) incrementally-maintained fingerprints, and per-genome block
+//!   sums of the evaluation tree that each edit derives from the
+//!   parents', so scoring a child reduces ~`sqrt(stages)` sums;
 //! * [`exact`] — the per-stage separable oracle: a Pareto-frontier
 //!   dynamic program that certifies the true Eq. (17) optimum on
 //!   thermally-uncoupled tables (bit-identical to [`StageTable`]
@@ -64,6 +66,6 @@ pub use exact::{ExactConfig, ExactOutcome, LagrangianSeed};
 pub use ga::{score, search, search_observed, GaConfig, GaOutcome};
 pub use memo::FingerprintRing;
 pub use persist::{read_strategy, write_strategy, StrategyParseError, STRATEGY_HEADER};
-pub use pool::{genome_fingerprint, GenomePool, PoolScratch};
+pub use pool::{genome_fingerprint, GenomePool};
 pub use preprocess::{Preprocessed, Stage, StageKind};
 pub use strategy::{DvfsStrategy, Evaluation, StageTable, TableError, ThermalCoupling};

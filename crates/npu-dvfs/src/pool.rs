@@ -8,8 +8,7 @@
 //! * **Bit-packed genes.** A gene indexes one of at most 256 frequency
 //!   points, so it fits in 4 bits (≤16 points — the paper's ladder has
 //!   9) or 8 bits. A GPT-3-sized genome (960 stages) is 60 `u64` words
-//!   instead of 7.7 KB of `usize`s — small enough that diffing two
-//!   genomes is 60 XORs.
+//!   instead of 7.7 KB of `usize`s.
 //! * **One contiguous buffer.** Genome `i` occupies
 //!   `words[i*W .. (i+1)*W]`. Building the next generation reuses the
 //!   arena via [`GenomePool::clear`] — after warm-up, a generation
@@ -18,18 +17,28 @@
 //!   fingerprint maintained as `base ^ XOR_w contrib(w, word_w)`, so a
 //!   single-gene mutation updates the fingerprint in O(1) (XOR the old
 //!   word's contribution out, the new one in) instead of re-hashing all
-//!   n genes — which used to dominate the engine's per-genome cost.
+//!   n genes.
+//! * **Lineage block sums.** The pool is built from the
+//!   [`StageTable`] it will be scored against, and every genome carries
+//!   the nodes of [`StageTable::evaluate`]'s fixed pairwise summation
+//!   tree at one level: `n_pad / B` block sums, where `n_pad` is the
+//!   stage count rounded up to a power of two and the block width is
+//!   `B = 2^ceil(log2(n_pad) / 2)` (32 leaves for GPT-3's 1,024, 8 for a
+//!   48-stage table). Every edit keeps them in step with the genes,
+//!   starting from the parents' sums: a copy copies them, a crossover
+//!   swaps the whole blocks past its cut and rebuilds the one block the
+//!   cut falls in, a mutation rebuilds the one block it touches. A child
+//!   therefore costs at most two block rebuilds, whatever its parents
+//!   look like, and scoring it is a pairwise reduce over its blocks
+//!   ([`GenomePool::blocks_of`]). Each block is the same subtree of the
+//!   same tree the reference sums, with the same `left + right`
+//!   additions, so the root is bit-identical to a full evaluation by
+//!   construction.
 //!
-//! [`PoolScratch`] pairs a warm [`IncrementalEval`] with a packed
-//! mirror of its current genome: repositioning onto another genome
-//! diffs the packed words (XOR + `trailing_zeros`) and commits only the
-//! changed stages, in one level-by-level tree update.
 //! [`genome_fingerprint`] computes the identical fingerprint for an
-//! unpacked `&[usize]` genome, so pooled and slice-based scoring share
-//! one memo space.
+//! unpacked `&[usize]` genome.
 
-use crate::engine::IncrementalEval;
-use crate::strategy::{Evaluation, StageTable};
+use crate::strategy::{StageTable, Sums};
 
 /// How genes map onto `u64` words for a given table shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +48,9 @@ struct PackLayout {
     /// Bits per gene: 4 when the alphabet fits a nibble, else 8.
     gene_bits: u32,
     genes_per_word: usize,
+    /// `log2(genes_per_word)`: locating a gene takes shifts, not a
+    /// division.
+    genes_per_word_log2: u32,
     words_per_genome: usize,
     gene_mask: u64,
 }
@@ -56,6 +68,7 @@ impl PackLayout {
             n_freqs,
             gene_bits,
             genes_per_word,
+            genes_per_word_log2: genes_per_word.trailing_zeros(),
             words_per_genome: n_stages.div_ceil(genes_per_word),
             gene_mask: (1u64 << gene_bits) - 1,
         }
@@ -65,8 +78,8 @@ impl PackLayout {
     fn word_and_shift(&self, stage: usize) -> (usize, u32) {
         debug_assert!(stage < self.n_stages);
         (
-            stage / self.genes_per_word,
-            (stage % self.genes_per_word) as u32 * self.gene_bits,
+            stage >> self.genes_per_word_log2,
+            (stage & (self.genes_per_word - 1)) as u32 * self.gene_bits,
         )
     }
 }
@@ -100,8 +113,7 @@ fn word_contrib(word_idx: usize, word: u64) -> u64 {
 }
 
 /// Fingerprint of an unpacked genome, identical to the fingerprint a
-/// [`GenomePool`] with the same `n_freqs` maintains for these genes —
-/// the bridge that lets slice-based and pooled scoring share one memo.
+/// [`GenomePool`] with the same `n_freqs` maintains for these genes.
 ///
 /// # Panics
 ///
@@ -131,41 +143,72 @@ fn pack_word(layout: &PackLayout, chunk: &[usize]) -> u64 {
     word
 }
 
-/// A flat arena of bit-packed genomes with per-genome fingerprints.
+/// Leaf width of one block: `2^ceil(log2(n_pad) / 2)`, so a genome holds
+/// about `sqrt(n_pad)` blocks of about `sqrt(n_pad)` leaves each.
+fn block_width(n_pad: usize) -> usize {
+    1 << n_pad.trailing_zeros().div_ceil(2)
+}
+
+/// A flat arena of bit-packed genomes with per-genome fingerprints and
+/// block sums, bound to the [`StageTable`] its genomes are scored
+/// against.
 ///
-/// All genomes share one `Vec<u64>`; [`Self::clear`] keeps the buffers
-/// for the next generation, so a warmed pool never allocates.
+/// All genomes share one `Vec<u64>` (and one `Vec` of block sums);
+/// [`Self::clear`] keeps the buffers for the next generation, so a
+/// warmed pool never allocates.
 #[derive(Debug, Clone)]
-pub struct GenomePool {
+pub struct GenomePool<'t> {
+    table: &'t StageTable,
     layout: PackLayout,
     /// Genome `i` is `words[i*W .. (i+1)*W]`, `W = words_per_genome`.
     words: Vec<u64>,
     /// One fingerprint per genome, maintained incrementally.
     fps: Vec<u64>,
     base_fp: u64,
+    /// Leaves per block (a power of two).
+    block_width: usize,
+    /// Blocks per genome, `n_pad / block_width` (a power of two).
+    blocks_per_genome: usize,
+    /// Blocks holding at least one stage; the rest stay zero.
+    live_blocks: usize,
+    /// Genome `i`'s block sums are `blocks[i*K .. (i+1)*K]`,
+    /// `K = blocks_per_genome`.
+    blocks: Vec<Sums>,
+    /// Leaf buffer for one block rebuild.
+    leaves: Vec<Sums>,
 }
 
-impl GenomePool {
-    /// Creates an empty pool for genomes of `n_stages` genes over an
-    /// alphabet of `n_freqs` frequency points.
+impl<'t> GenomePool<'t> {
+    /// Creates an empty pool for genomes over `table`'s stages and
+    /// frequency points.
     ///
     /// # Panics
     ///
-    /// Panics if `n_freqs` is outside `1..=256`.
+    /// Panics if the table has more than 256 frequency points (or none).
     #[must_use]
-    pub fn new(n_stages: usize, n_freqs: usize) -> Self {
-        Self::with_capacity(n_stages, n_freqs, 0)
+    pub fn new(table: &'t StageTable) -> Self {
+        Self::with_capacity(table, 0)
     }
 
     /// [`Self::new`] with space pre-reserved for `genomes` individuals.
     #[must_use]
-    pub fn with_capacity(n_stages: usize, n_freqs: usize, genomes: usize) -> Self {
-        let layout = PackLayout::new(n_stages, n_freqs);
+    pub fn with_capacity(table: &'t StageTable, genomes: usize) -> Self {
+        let n_stages = table.n_stages();
+        let layout = PackLayout::new(n_stages, table.n_freqs());
+        let n_pad = n_stages.next_power_of_two(); // 0usize -> 1
+        let block_width = block_width(n_pad);
+        let blocks_per_genome = n_pad / block_width;
         Self {
+            table,
             layout,
             words: Vec::with_capacity(genomes * layout.words_per_genome),
             fps: Vec::with_capacity(genomes),
             base_fp: fp_base(n_stages),
+            block_width,
+            blocks_per_genome,
+            live_blocks: n_stages.div_ceil(block_width),
+            blocks: Vec::with_capacity(genomes * blocks_per_genome),
+            leaves: vec![Sums::ZERO; block_width],
         }
     }
 
@@ -179,6 +222,12 @@ impl GenomePool {
     #[must_use]
     pub fn n_freqs(&self) -> usize {
         self.layout.n_freqs
+    }
+
+    /// Leaves per block sum (see the module docs).
+    #[must_use]
+    pub fn block_width(&self) -> usize {
+        self.block_width
     }
 
     /// Number of genomes currently stored.
@@ -197,6 +246,7 @@ impl GenomePool {
     pub fn clear(&mut self) {
         self.words.clear();
         self.fps.clear();
+        self.blocks.clear();
     }
 
     /// Drops genomes past index `len` (no-op when already shorter).
@@ -204,10 +254,12 @@ impl GenomePool {
         if len < self.fps.len() {
             self.fps.truncate(len);
             self.words.truncate(len * self.layout.words_per_genome);
+            self.blocks.truncate(len * self.blocks_per_genome);
         }
     }
 
-    /// Appends a genome from unpacked genes; returns its index.
+    /// Appends a genome from unpacked genes, building every block sum;
+    /// returns its index.
     ///
     /// # Panics
     ///
@@ -225,18 +277,29 @@ impl GenomePool {
             fp ^= word_contrib(w, word);
         }
         self.fps.push(fp);
-        self.fps.len() - 1
+        let idx = self.fps.len() - 1;
+        self.blocks
+            .resize(self.blocks.len() + self.blocks_per_genome, Sums::ZERO);
+        for b in 0..self.live_blocks {
+            self.rebuild_block(idx, b);
+        }
+        idx
     }
 
-    /// Appends a copy of genome `src` from `other` (same layout);
-    /// returns the new index. `other` may be `self`-shaped next-gen pool.
+    /// Appends a copy of genome `src` from `other`, block sums included;
+    /// returns the new index.
     ///
     /// # Panics
     ///
-    /// Panics if the layouts disagree or `src` is out of range.
-    pub fn push_copy_from(&mut self, other: &GenomePool, src: usize) -> usize {
-        assert_eq!(self.layout, other.layout, "pool layouts must agree");
+    /// Panics if `other` was built from a different table or `src` is
+    /// out of range.
+    pub fn push_copy_from(&mut self, other: &GenomePool<'_>, src: usize) -> usize {
+        assert!(
+            std::ptr::eq(self.table, other.table),
+            "pools must be built from the same table"
+        );
         self.words.extend_from_slice(other.words_of(src));
+        self.blocks.extend_from_slice(other.blocks_of(src));
         self.fps.push(other.fps[src]);
         self.fps.len() - 1
     }
@@ -248,8 +311,9 @@ impl GenomePool {
     /// Panics if `src` is out of range.
     pub fn push_clone(&mut self, src: usize) -> usize {
         assert!(src < self.fps.len(), "genome {src} out of range");
-        let w = self.layout.words_per_genome;
+        let (w, k) = (self.layout.words_per_genome, self.blocks_per_genome);
         self.words.extend_from_within(src * w..(src + 1) * w);
+        self.blocks.extend_from_within(src * k..(src + 1) * k);
         self.fps.push(self.fps[src]);
         self.fps.len() - 1
     }
@@ -262,7 +326,8 @@ impl GenomePool {
             as usize
     }
 
-    /// Sets one gene, updating the genome's fingerprint in O(1).
+    /// Sets one gene, updating the genome's fingerprint in O(1) and
+    /// rebuilding the one block sum it falls in.
     ///
     /// # Panics
     ///
@@ -280,12 +345,15 @@ impl GenomePool {
         if new != old {
             self.words[slot] = new;
             self.fps[idx] ^= word_contrib(w, old) ^ word_contrib(w, new);
+            self.rebuild_block(idx, stage / self.block_width);
         }
     }
 
     /// Swaps the gene suffix `[from_stage, n_stages)` between genomes
     /// `a` and `b` — the GA's last-`k` crossover — word-at-a-time, with
-    /// O(changed words) fingerprint updates.
+    /// O(changed words) fingerprint updates. The whole blocks past the
+    /// cut swap their sums; the one block the cut falls inside is
+    /// rebuilt in both genomes when its genes changed.
     ///
     /// # Panics
     ///
@@ -295,11 +363,12 @@ impl GenomePool {
         if a == b || from_stage == self.layout.n_stages {
             return;
         }
-        let wpg = self.layout.words_per_genome;
-        let (wb, off) = (
-            from_stage / self.layout.genes_per_word,
-            from_stage % self.layout.genes_per_word,
-        );
+        let (wpg, gpw) = (self.layout.words_per_genome, self.layout.genes_per_word);
+        let (wb, off) = (from_stage / gpw, from_stage % gpw);
+        let cut_block = from_stage / self.block_width;
+        // First stage past the block the cut falls inside.
+        let cut_block_end = (cut_block + 1) * self.block_width;
+        let mut cut_block_changed = false;
         for w in wb..wpg {
             let (ia, ib) = (a * wpg + w, b * wpg + w);
             let (va, vb) = (self.words[ia], self.words[ib]);
@@ -318,7 +387,25 @@ impl GenomePool {
                 self.words[ib] = nb;
                 self.fps[a] ^= word_contrib(w, va) ^ word_contrib(w, na);
                 self.fps[b] ^= word_contrib(w, vb) ^ word_contrib(w, nb);
+                cut_block_changed |= w * gpw < cut_block_end;
             }
+        }
+        // A cut on a block boundary moves that block whole.
+        let first_whole = if from_stage.is_multiple_of(self.block_width) {
+            cut_block
+        } else {
+            cut_block + 1
+        };
+        if first_whole < self.live_blocks {
+            let k = self.blocks_per_genome;
+            let (lo, hi) = (a.min(b), a.max(b));
+            let (head, tail) = self.blocks.split_at_mut(hi * k);
+            head[lo * k + first_whole..lo * k + self.live_blocks]
+                .swap_with_slice(&mut tail[first_whole..self.live_blocks]);
+        }
+        if first_whole != cut_block && cut_block_changed {
+            self.rebuild_block(a, cut_block);
+            self.rebuild_block(b, cut_block);
         }
     }
 
@@ -335,128 +422,43 @@ impl GenomePool {
         self.fps[idx]
     }
 
+    /// The table this pool's block sums are read from.
+    #[must_use]
+    pub fn table(&self) -> &'t StageTable {
+        self.table
+    }
+
     /// The packed words of genome `idx`.
-    pub(crate) fn words_of(&self, idx: usize) -> &[u64] {
+    fn words_of(&self, idx: usize) -> &[u64] {
         let w = self.layout.words_per_genome;
         &self.words[idx * w..(idx + 1) * w]
     }
 
-    fn layout_matches(&self, table: &StageTable) -> bool {
-        self.layout == PackLayout::new(table.n_stages(), table.n_freqs())
+    /// The block sums of genome `idx`, in stage order: the nodes of
+    /// [`StageTable::evaluate`]'s summation tree at the block level
+    /// (blocks past the last stage are zero).
+    pub(crate) fn blocks_of(&self, idx: usize) -> &[Sums] {
+        let k = self.blocks_per_genome;
+        &self.blocks[idx * k..(idx + 1) * k]
     }
-}
 
-/// Per-worker evaluation scratch: a warm [`IncrementalEval`] plus a
-/// packed mirror of its current genome. Repositioning onto the next
-/// genome XOR-diffs packed words and commits only the changed stages in
-/// one batched tree update, and the mirror stays coherent whether
-/// genomes arrive packed ([`Self::eval_pool`]) or as slices
-/// ([`Self::eval_genes`]).
-#[derive(Debug)]
-pub struct PoolScratch<'t> {
-    inc: IncrementalEval<'t>,
-    packed: Vec<u64>,
-    layout: PackLayout,
-}
-
-impl<'t> PoolScratch<'t> {
-    /// Creates a scratch positioned at the all-zero genome.
-    #[must_use]
-    pub fn new(table: &'t StageTable) -> Self {
-        let genes = vec![0usize; table.n_stages()];
-        let layout = PackLayout::new(table.n_stages(), table.n_freqs());
-        Self {
-            inc: IncrementalEval::new(table, &genes),
-            packed: vec![0u64; layout.words_per_genome],
-            layout,
+    /// Recomputes block `b` of genome `idx` from its genes: the block's
+    /// cells, padded with zeros past the last stage, summed pairwise.
+    fn rebuild_block(&mut self, idx: usize, b: usize) {
+        let wpg = self.layout.words_per_genome;
+        let genome = &self.words[idx * wpg..(idx + 1) * wpg];
+        let first = b * self.block_width;
+        for (stage, leaf) in (first..).zip(&mut self.leaves) {
+            *leaf = if stage < self.layout.n_stages {
+                let (w, shift) = self.layout.word_and_shift(stage);
+                let gene = (genome[w] >> shift) & self.layout.gene_mask;
+                self.table.cell(stage, gene as usize)
+            } else {
+                Sums::ZERO
+            };
         }
+        self.blocks[idx * self.blocks_per_genome + b] = Sums::reduce_in_place(&mut self.leaves);
     }
-
-    /// Repositions the evaluator at the genome packed in `words`:
-    /// XOR-diffs each word against the mirror and commits every changed
-    /// gene in one batched [`IncrementalEval::set_genes`], then
-    /// evaluates.
-    fn eval_words(&mut self, words: impl Iterator<Item = u64>) -> Evaluation {
-        let layout = self.layout;
-        let words = self.packed.iter_mut().zip(words).enumerate();
-        self.inc
-            .set_genes(words.flat_map(move |(w, (mirror, new))| {
-                let old = std::mem::replace(mirror, new);
-                changed_lanes(layout, w, old, new)
-            }));
-        self.inc.eval()
-    }
-
-    /// Evaluates genome `idx` of `pool`. Bit-identical to
-    /// `table.evaluate(&genes)` of the unpacked genome.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool's layout disagrees with the scratch's table.
-    pub fn eval_pool(&mut self, pool: &GenomePool, idx: usize) -> Evaluation {
-        assert_eq!(self.layout, pool.layout, "pool layout must match table");
-        self.eval_words(pool.words_of(idx).iter().copied())
-    }
-
-    /// Evaluates an unpacked genome through the same packed-diff path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gene count disagrees or a gene is out of range.
-    pub fn eval_genes(&mut self, genes: &[usize]) -> Evaluation {
-        assert_eq!(
-            genes.len(),
-            self.layout.n_stages,
-            "gene count must match stages"
-        );
-        let layout = self.layout;
-        self.eval_words(
-            genes
-                .chunks(layout.genes_per_word)
-                .map(|c| pack_word(&layout, c)),
-        )
-    }
-
-    /// Whether this scratch evaluates against `table`'s shape.
-    #[must_use]
-    pub fn fits(&self, table: &StageTable) -> bool {
-        self.layout == PackLayout::new(table.n_stages(), table.n_freqs())
-    }
-}
-
-/// The `(stage, gene)` pairs where packed word `w` changes from `old` to
-/// `new`, in ascending stage order.
-fn changed_lanes(
-    layout: PackLayout,
-    w: usize,
-    old: u64,
-    new: u64,
-) -> impl Iterator<Item = (usize, usize)> {
-    let bits = layout.gene_bits;
-    let mut diff = old ^ new;
-    std::iter::from_fn(move || {
-        if diff == 0 {
-            return None;
-        }
-        let shift = (diff.trailing_zeros() / bits) * bits;
-        diff &= !(layout.gene_mask << shift);
-        Some((
-            w * layout.genes_per_word + (shift / bits) as usize,
-            ((new >> shift) & layout.gene_mask) as usize,
-        ))
-    })
-}
-
-/// Asserts a pool was built for `table`'s shape (engine entry check).
-pub(crate) fn assert_pool_matches(pool: &GenomePool, table: &StageTable) {
-    assert!(
-        pool.layout_matches(table),
-        "genome pool shape ({} stages × {} freqs) must match table ({} × {})",
-        pool.n_stages(),
-        pool.n_freqs(),
-        table.n_stages(),
-        table.n_freqs()
-    );
 }
 
 #[cfg(test)]
@@ -505,6 +507,31 @@ mod tests {
         (0..n).map(|s| (s * 7 + salt * 13 + 3) % m).collect()
     }
 
+    /// Asserts genome `idx`'s block sums reduce to exactly the full
+    /// evaluation of its genes.
+    fn assert_blocks_match(t: &StageTable, pool: &GenomePool<'_>, idx: usize) {
+        let mut genes = Vec::new();
+        pool.read_genes(idx, &mut genes);
+        let mut level = pool.blocks_of(idx).to_vec();
+        let fast = t.finish_sums(Sums::reduce_in_place(&mut level));
+        let full = t.evaluate(&genes);
+        assert_eq!(
+            fast.time_us.to_bits(),
+            full.time_us.to_bits(),
+            "genome {idx}"
+        );
+        assert_eq!(
+            fast.aicore_energy_wus.to_bits(),
+            full.aicore_energy_wus.to_bits(),
+            "genome {idx}"
+        );
+        assert_eq!(
+            fast.soc_energy_wus.to_bits(),
+            full.soc_energy_wus.to_bits(),
+            "genome {idx}"
+        );
+    }
+
     #[test]
     fn pack_layout_picks_nibbles_for_small_alphabets() {
         let nib = PackLayout::new(37, 9);
@@ -520,7 +547,8 @@ mod tests {
     #[test]
     fn push_and_read_round_trip() {
         for m in [2, 9, 16, 17, 200] {
-            let mut pool = GenomePool::new(21, m);
+            let t = table(21, m);
+            let mut pool = GenomePool::new(&t);
             let g = genome(21, m, 1);
             let idx = pool.push_genes(&g);
             let mut out = Vec::new();
@@ -535,7 +563,8 @@ mod tests {
     #[test]
     fn fingerprints_match_the_free_function_through_every_mutation_path() {
         let m = 9;
-        let mut pool = GenomePool::new(33, m);
+        let t = table(33, m);
+        let mut pool = GenomePool::new(&t);
         let a = pool.push_genes(&genome(33, m, 0));
         let b = pool.push_clone(a);
         let c = pool.push_genes(&genome(33, m, 5));
@@ -568,7 +597,8 @@ mod tests {
             (11, 30, 5),
             (48, 9, 16),
         ] {
-            let mut pool = GenomePool::new(n, m);
+            let t = table(n, m);
+            let mut pool = GenomePool::new(&t);
             let ga = genome(n, m, 1);
             let gb = genome(n, m, 2);
             let a = pool.push_genes(&ga);
@@ -583,22 +613,26 @@ mod tests {
                 assert_eq!(pool.gene(a, s), wa, "n={n} m={m} from={from} stage {s}");
                 assert_eq!(pool.gene(b, s), wb, "n={n} m={m} from={from} stage {s}");
             }
+            assert_blocks_match(&t, &pool, a);
+            assert_blocks_match(&t, &pool, b);
         }
     }
 
     #[test]
     fn copy_truncate_and_clear_manage_the_arena() {
-        let mut cur = GenomePool::with_capacity(10, 9, 4);
+        let t = table(10, 9);
+        let mut cur = GenomePool::with_capacity(&t, 4);
         let g0 = genome(10, 9, 0);
         let g1 = genome(10, 9, 1);
         cur.push_genes(&g0);
         cur.push_genes(&g1);
-        let mut next = GenomePool::new(10, 9);
+        let mut next = GenomePool::new(&t);
         next.push_copy_from(&cur, 1);
         next.push_copy_from(&cur, 0);
         next.push_copy_from(&cur, 0);
         assert_eq!(next.len(), 3);
         assert_eq!(next.fp(0), cur.fp(1));
+        assert_blocks_match(&t, &next, 0);
         next.truncate(1);
         assert_eq!(next.len(), 1);
         let mut out = Vec::new();
@@ -611,54 +645,94 @@ mod tests {
     }
 
     #[test]
-    fn scratch_eval_is_bit_identical_to_full_evaluation() {
-        for m in [9, 30] {
-            let t = table(13, m);
-            let mut pool = GenomePool::new(13, m);
-            for salt in 0..6 {
-                pool.push_genes(&genome(13, m, salt));
+    fn block_width_is_the_square_root_of_the_padded_stage_count() {
+        for (n, width) in [
+            (0, 1),
+            (1, 1),
+            (2, 2),
+            (3, 2),
+            (48, 8),
+            (257, 32),
+            (960, 32),
+        ] {
+            let t = table(n, 9);
+            assert_eq!(GenomePool::new(&t).block_width(), width, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn block_sums_stay_bit_identical_to_full_evaluation() {
+        for (n, m) in [(13, 9), (13, 30), (37, 9), (64, 17)] {
+            let t = table(n, m);
+            let mut pool = GenomePool::new(&t);
+            for salt in 0..4 {
+                pool.push_genes(&genome(n, m, salt));
             }
-            let mut scratch = PoolScratch::new(&t);
-            let mut out = Vec::new();
-            // Jump around the pool (non-sequential diffs) and interleave
-            // slice-based evaluation to stress mirror coherence.
-            for &idx in &[0usize, 3, 1, 5, 2, 4, 0, 5] {
-                let fast = scratch.eval_pool(&pool, idx);
-                pool.read_genes(idx, &mut out);
-                let full = t.evaluate(&out);
-                assert_eq!(fast.time_us.to_bits(), full.time_us.to_bits());
-                assert_eq!(
-                    fast.aicore_energy_wus.to_bits(),
-                    full.aicore_energy_wus.to_bits()
-                );
-                assert_eq!(fast.soc_energy_wus.to_bits(), full.soc_energy_wus.to_bits());
-                let via_genes = scratch.eval_genes(&out);
-                assert_eq!(via_genes.time_us.to_bits(), full.time_us.to_bits());
+            let c = pool.push_clone(1);
+            pool.set_gene(c, n / 2, (pool.gene(c, n / 2) + 1) % m);
+            pool.set_gene(c, 0, pool.gene(c, 0)); // no-op
+            for (a, b, from) in [(0, 2, 1), (1, 3, n - 1), (c, 0, n / 2), (2, 3, 8)] {
+                pool.swap_suffix(a, b, from);
+            }
+            let mut next = GenomePool::new(&t);
+            for idx in [c, 3, 0] {
+                next.push_copy_from(&pool, idx);
+            }
+            next.set_gene(1, n - 1, 0);
+            for idx in 0..pool.len() {
+                assert_blocks_match(&t, &pool, idx);
+            }
+            for idx in 0..next.len() {
+                assert_blocks_match(&t, &next, idx);
             }
         }
     }
 
     #[test]
+    fn crossover_rebuilds_the_cut_block_when_only_a_later_word_differs() {
+        // 300 stages: 32-leaf blocks over 16-gene words, so block 0 spans
+        // words 0 and 1. Two genomes equal except in word 1, cut inside
+        // word 0: the cut's own word does not change, the block does.
+        let t = table(300, 9);
+        let mut pool = GenomePool::new(&t);
+        let a = pool.push_genes(&genome(300, 9, 0));
+        let b = pool.push_clone(a);
+        pool.set_gene(b, 20, (pool.gene(b, 20) + 1) % 9);
+        pool.swap_suffix(a, b, 3);
+        assert_eq!(pool.block_width(), 32);
+        assert_blocks_match(&t, &pool, a);
+        assert_blocks_match(&t, &pool, b);
+    }
+
+    #[test]
     fn empty_genomes_are_supported() {
-        let mut pool = GenomePool::new(0, 9);
+        let t = table(0, 9);
+        let mut pool = GenomePool::new(&t);
         let idx = pool.push_genes(&[]);
         assert_eq!(pool.fp(idx), genome_fingerprint(&[], 9));
-        let t = table(0, 9);
-        let mut scratch = PoolScratch::new(&t);
-        let e = scratch.eval_pool(&pool, idx);
-        assert_eq!(e.time_us.to_bits(), t.evaluate(&[]).time_us.to_bits());
+        assert_blocks_match(&t, &pool, idx);
+    }
+
+    #[test]
+    #[should_panic(expected = "same table")]
+    fn copies_between_pools_of_different_tables_are_rejected() {
+        let (t1, t2) = (table(5, 9), table(5, 9));
+        let mut src = GenomePool::new(&t1);
+        src.push_genes(&genome(5, 9, 0));
+        let _ = GenomePool::new(&t2).push_copy_from(&src, 0);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn push_rejects_out_of_range_genes() {
-        let mut pool = GenomePool::new(3, 9);
+        let t = table(3, 9);
+        let mut pool = GenomePool::new(&t);
         let _ = pool.push_genes(&[0, 9, 0]);
     }
 
     #[test]
     #[should_panic(expected = "alphabet")]
     fn rejects_oversized_alphabets() {
-        let _ = GenomePool::new(3, 257);
+        let _ = GenomePool::new(&table(3, 257));
     }
 }

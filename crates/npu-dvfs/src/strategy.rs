@@ -129,6 +129,27 @@ impl Sums {
             vt: left.vt + right.vt,
         }
     }
+
+    /// Sums a power-of-two run of sibling nodes pairwise, level by level
+    /// in place (the run is clobbered): each parent is `add(left, right)`
+    /// of its two children, exactly the additions the recursive
+    /// [`StageTable::evaluate`] tree performs over the same nodes.
+    #[inline]
+    pub(crate) fn reduce_in_place(nodes: &mut [Sums]) -> Sums {
+        debug_assert!(
+            nodes.len().is_power_of_two(),
+            "pairwise run of {}",
+            nodes.len()
+        );
+        let mut width = nodes.len();
+        while width > 1 {
+            width /= 2;
+            for i in 0..width {
+                nodes[i] = Sums::add(nodes[2 * i], nodes[2 * i + 1]);
+            }
+        }
+        nodes[0]
+    }
 }
 
 /// Precomputed per-stage, per-frequency predictions.
@@ -299,6 +320,14 @@ impl StageTable {
         }
     }
 
+    /// Stage `stage`'s predicted times and temperature-independent
+    /// AICore energies, one entry per frequency point.
+    pub(crate) fn time_and_aicore_rows(&self, stage: usize) -> (&[f64], &[f64]) {
+        let m = self.freqs.len();
+        let row = stage * m..(stage + 1) * m;
+        (&self.time_us[row.clone()], &self.aicore_e[row])
+    }
+
     /// The thermal coupling applied by [`Self::finish_sums`] (lets the
     /// exact solver decide whether the fix point can affect a score).
     pub(crate) fn coupling(&self) -> ThermalCoupling {
@@ -354,7 +383,9 @@ impl StageTable {
     /// Fixed-topology pairwise reduction of the stage cells selected by
     /// `genes` over the leaf range `[lo, lo + width)`, where `width` is a
     /// power of two and out-of-range leaves contribute zero. This is the
-    /// exact summation tree [`crate::engine::IncrementalEval`] maintains.
+    /// exact summation tree [`crate::engine::IncrementalEval`] maintains
+    /// and whose block-level nodes every [`crate::GenomePool`] genome
+    /// carries.
     fn reduce(&self, genes: &[usize], lo: usize, width: usize) -> Sums {
         if width == 1 {
             return if lo < genes.len() {

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use npu_dvfs::{
     exact, preprocess::preprocess, score, search, EvalEngine, Evaluation, GaConfig, GenomePool,
-    IncrementalEval, PoolScratch, Stage, StageKind, StageTable, ThermalCoupling,
+    IncrementalEval, Stage, StageKind, StageTable, ThermalCoupling,
 };
 use npu_sim::{FreqMhz, OpClass, OpRecord, PipelineRatios, Scenario};
 
@@ -81,6 +81,15 @@ fn arb_row() -> impl Strategy<Value = (f64, bool, f64)> {
 /// to eight iterations and the candidates of one row converge at
 /// different iterations, in no particular order.
 fn arb_shaped_table() -> impl Strategy<Value = StageTable> {
+    shaped_table(prop_oneof![Just(1usize), 2usize..40], 40)
+}
+
+/// [`arb_shaped_table`] with `stages` (at most `max_stages`) drawn from
+/// the given strategy.
+fn shaped_table(
+    stages: impl Strategy<Value = usize>,
+    max_stages: usize,
+) -> impl Strategy<Value = StageTable> {
     let coupling = (
         0.01f64..0.3,
         0.05f64..1.5,
@@ -88,9 +97,9 @@ fn arb_shaped_table() -> impl Strategy<Value = StageTable> {
         prop::collection::vec(0.5f64..1.2, 40),
     );
     (
-        prop_oneof![Just(1usize), 2usize..40],
+        stages,
         prop_oneof![Just(9usize), 17usize..41],
-        prop::collection::vec(arb_row(), 40),
+        prop::collection::vec(arb_row(), max_stages),
         0u32..4,
         coupling,
     )
@@ -280,16 +289,13 @@ proptest! {
     /// Scoring a bit-packed [`GenomePool`] through the engine is
     /// bit-identical (0 ULP) to scoring each genome with a fresh full
     /// `StageTable::evaluate`. This pins the whole pool path — packing,
-    /// incremental fingerprints, the memo ring and the batched tree
-    /// commit — to the reference semantics.
+    /// incremental fingerprints, the memo ring and the block sums — to
+    /// the reference semantics.
     ///
-    /// The pool interleaves the diffs a warm scratch must handle — a
-    /// repeat of the previous genome (empty diff), one changed gene, and
-    /// every gene changed — with random genomes, on one-stage and
-    /// non-power-of-two tables under 4- and 8-bit gene packing. A lone
-    /// [`PoolScratch`] walks the pool in order (the engine deduplicates
-    /// repeats before they reach a scratch), alternating the packed and
-    /// slice entry points. At the last genome, `probe_row` must equal
+    /// The pool interleaves a repeat of the previous genome (a memo
+    /// hit), one changed gene, and every gene changed with random
+    /// genomes, on one-stage and non-power-of-two tables under 4- and
+    /// 8-bit gene packing. At the last genome, `probe_row` must equal
     /// `probe` for every stage and gene, the current gene included; on
     /// coupled tables that checks each candidate's own fix-point
     /// iteration count.
@@ -312,21 +318,11 @@ proptest! {
             let whole: Vec<usize> = one.iter().map(|&g| (g + 1) % m).collect();
             population.extend([genes, repeat, one, whole]);
         }
-        let mut pool = GenomePool::new(n, m);
+        let mut pool = GenomePool::new(&table);
         for genes in &population {
             pool.push_genes(genes);
         }
         let full: Vec<Evaluation> = population.iter().map(|g| table.evaluate(g)).collect();
-
-        let mut scratch = PoolScratch::new(&table);
-        for (i, (genes, want)) in population.iter().zip(&full).enumerate() {
-            let got = if i % 2 == 0 {
-                scratch.eval_pool(&pool, i)
-            } else {
-                scratch.eval_genes(genes)
-            };
-            assert_bits(&got, want)?;
-        }
 
         let mut engine = EvalEngine::new(&table, baseline, loss);
         let got = engine.score_pool(&pool);
@@ -344,6 +340,98 @@ proptest! {
             prop_assert_eq!(row.len(), m);
             for (g, e) in row {
                 assert_bits(&e, &inc.probe(s, g))?;
+            }
+        }
+    }
+
+    /// The block sums every pool edit derives from its parents' never
+    /// drift from the genes: after any sequence of `push_genes`,
+    /// `push_copy_from`, `push_clone`, `swap_suffix`, `set_gene`,
+    /// `truncate` and `clear` over two pools of one table, a fresh
+    /// engine scores every genome of both pools bit-identically (0 ULP)
+    /// to `StageTable::evaluate` of its unpacked genes.
+    ///
+    /// Stage counts straddle block widths (1, 2, 3; 7, 8, 9 and 31, 32,
+    /// 33 around widths 4 and 8) or are non-powers of two above 256
+    /// (width 32, a partial last block and zero padding blocks), under
+    /// 4- and 8-bit packing, mostly thermally coupled. Crossover cuts
+    /// fall on a block boundary, inside a block, at `k = 1` and at
+    /// `k = n − 1`; some mutations write the gene already there.
+    #[test]
+    fn block_sums_stay_coherent_through_every_pool_edit(
+        table in shaped_table(
+            prop_oneof![
+                (0usize..9).prop_map(|i| [1, 2, 3, 7, 8, 9, 31, 32, 33][i]),
+                257usize..400,
+            ],
+            400,
+        ),
+        ops in prop::collection::vec(
+            (0u8..7, any::<usize>(), any::<usize>(), any::<usize>(), any::<usize>()),
+            1..48,
+        ),
+    ) {
+        let n = table.n_stages();
+        let m = table.n_freqs();
+        let baseline = table.baseline().time_us;
+        let loss = 0.02;
+        let mut pools = [GenomePool::new(&table), GenomePool::new(&table)];
+        let width = pools[0].block_width();
+        let mut genes = Vec::new();
+        for (op, r1, r2, r3, r4) in ops {
+            let (dst, src) = (r1 % 2, 1 - r1 % 2);
+            let len = pools[dst].len();
+            // Edits of existing genomes fall back to a push on an
+            // empty pool.
+            let op = if len == 0 && matches!(op, 2..=4) { 0 } else { op };
+            match op {
+                0 => {
+                    genes.clear();
+                    genes.extend((0..n).map(|s| r2.wrapping_add(s.wrapping_mul(r3)) % m));
+                    pools[dst].push_genes(&genes);
+                }
+                1 if !pools[src].is_empty() => {
+                    let from = r2 % pools[src].len();
+                    let [p0, p1] = &mut pools;
+                    let (to, from_pool) = if dst == 0 { (p0, &*p1) } else { (p1, &*p0) };
+                    to.push_copy_from(from_pool, from);
+                }
+                1 => {}
+                2 => {
+                    pools[dst].push_clone(r2 % len);
+                }
+                3 => {
+                    let cut = match r4 % 5 {
+                        0 => (r3 % n.div_ceil(width)) * width,
+                        1 => (r3 % n.div_ceil(width)) * width + 1 + r3 % width.max(2) / 2,
+                        2 => n - 1,
+                        3 => 1,
+                        _ => r3 % (n + 1),
+                    }
+                    .min(n);
+                    pools[dst].swap_suffix(r2 % len, r3 % len, cut);
+                }
+                4 => {
+                    let (idx, stage) = (r2 % len, r3 % n);
+                    let gene = if r4 % 4 == 0 {
+                        pools[dst].gene(idx, stage)
+                    } else {
+                        r4 % m
+                    };
+                    pools[dst].set_gene(idx, stage, gene);
+                }
+                5 => pools[dst].truncate(r2 % (len + 1)),
+                _ => pools[dst].clear(),
+            }
+        }
+        for pool in &pools {
+            let mut engine = EvalEngine::new(&table, baseline, loss);
+            let got = engine.score_pool(pool).to_vec();
+            prop_assert_eq!(got.len(), pool.len());
+            for (i, g) in got.iter().enumerate() {
+                pool.read_genes(i, &mut genes);
+                let want = score(&table.evaluate(&genes), baseline, loss);
+                prop_assert_eq!(g.to_bits(), want.to_bits(), "genome {}: {} vs {}", i, g, want);
             }
         }
     }
